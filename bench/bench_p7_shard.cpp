@@ -1,5 +1,5 @@
-// P7 — sharded fleet throughput: what partitioning the PollScheduler's
-// fleet across worker threads buys. Pumps scripted fleets of 512..4096
+// P7 — sharded fleet throughput: what partitioning the fleet pump
+// across worker threads buys. Pumps scripted fleets of 512..4096
 // sessions for a fixed simulated span at 1/2/4/8 threads and reports
 // sessions per wall-second, a mid-pump fairness snapshot (min/max
 // simulated time any session has consumed when the first one crosses

@@ -1,9 +1,6 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
-#include <thread>
 
 #include "hub/registry.hpp"
 #include "hub/sharded.hpp"
@@ -122,32 +119,6 @@ PairResult classify(hub::SessionRegistry& registry, const LivePair& live) {
     return r;
 }
 
-/// fn(i) for i in [0, n), fanned out across up to `threads` workers
-/// pulling indices from a shared counter. Serial (no threads spawned)
-/// when threads <= 1 or there is only one index. Joins before
-/// returning, so results written at distinct indices are ordered for
-/// the caller. fn must only touch index-local state.
-void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
-    const int workers = std::min(threads, n);
-    if (workers <= 1) {
-        for (int i = 0; i < n; ++i) fn(i);
-        return;
-    }
-    std::atomic<int> next{0};
-    auto drain = [&] {
-        for (;;) {
-            const int i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n) return;
-            fn(i);
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) pool.emplace_back(drain);
-    drain();
-    for (std::thread& t : pool) t.join();
-}
-
 void tally(CampaignReport& report, const PairResult& r) {
     KindTally& k = report.by_kind[r.kind];
     ++k.pairs;
@@ -205,7 +176,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
         // Build every pair's twin scenarios in parallel: each pair is
         // derived from its own seed alone.
         std::vector<Prep> preps(static_cast<std::size_t>(wave_n));
-        parallel_for(wave_n, threads, [&](int j) {
+        hub::parallel_for(wave_n, threads, [&](int j) {
             const int i = wave_start + j;
             const std::uint32_t model_seed =
                 cfg.seed * 100003u + static_cast<std::uint32_t>(i);
@@ -260,7 +231,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
         // Classify in parallel (bisect re-executes only its own pair's
         // sessions), then assemble the report in pair order.
         std::vector<PairResult> results(live.size());
-        parallel_for(static_cast<int>(live.size()), threads, [&](int j) {
+        hub::parallel_for(static_cast<int>(live.size()), threads, [&](int j) {
             const LivePair& pair = live[static_cast<std::size_t>(j)];
             PairResult r = classify(registry, pair);
             if (r.detail.empty()) r.detail = pair.fault_description;

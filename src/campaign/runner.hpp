@@ -46,10 +46,11 @@ struct CampaignConfig {
     rt::SimTime run_for = 600 * rt::kMs;          ///< per-pair execution span
     rt::SimTime checkpoint_every = 100 * rt::kMs; ///< faulted twin's cadence
     int wave = 8; ///< pairs resident on the fleet at once
-    /// Worker threads per wave: scenario construction fans out across
-    /// pairs, the fleet pump shards across hub::ShardedScheduler, and
-    /// classification (bisect / twin diff) fans out again. 1 (default)
-    /// is fully serial. The report is identical at any thread count:
+    /// Worker threads per wave: scenario construction and classification
+    /// (bisect / twin diff) fan out across pairs through
+    /// hub::parallel_for, and the fleet pump shards across the same
+    /// hub::ShardedScheduler the interactive hub runs. 1 (default) is
+    /// fully serial. The report is identical at any thread count:
     /// every pair is seeded, built, executed, and classified in
     /// isolation, and results are assembled in pair order.
     int threads = 1;

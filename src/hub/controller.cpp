@@ -77,10 +77,8 @@ HubController::HubController() {
     init_slice_hook();
     // Publish the hub's legacy stats structs (EngineStats aggregate,
     // HubStats, ShardStats, WatchdogStats) into the obs registry at scrape
-    // time, and touch the pump histogram so the /metrics catalog is
-    // complete before the first pump. Collectors run on the scraping
-    // thread — for this hub that is the serving thread, between requests.
-    (void)pump_metrics();
+    // time. Collectors run on the scraping thread — for this hub that is
+    // the serving thread, between requests.
     obs::registry().add_collector(this, [this](obs::Registry&) { publish_metrics(); });
 }
 
@@ -449,7 +447,6 @@ void HubController::close_entry(SessionRegistry::Entry& entry, RouteContext& ctx
     int id = entry.id;
     collect_events(entry); // don't lose queued events with the session
     registry_.close(id);
-    scheduler_.forget(id); // ids never return; keep the stats map bounded
     std::erase(ctx.opened, id);
     if (ctx.current == id)
         ctx.current = registry_.entries().empty() ? 0 : registry_.entries().front()->id;

@@ -1,6 +1,6 @@
 // HubController: the protocol face of a multi-session debug hub.
 //
-// Wraps a SessionRegistry and a PollScheduler behind the same
+// Wraps a SessionRegistry and a ShardedScheduler behind the same
 // line-oriented protocol a single SessionController speaks, adding
 // session addressing on top:
 //
@@ -103,11 +103,11 @@ public:
     /// multi-session tag latch) — go through open()/adopt() instead.
     [[nodiscard]] const SessionRegistry& registry() const { return registry_; }
 
-    /// The fleet pump. threads=1 (default) keeps the single-threaded
-    /// PollScheduler semantics and transcripts; set_threads(N) shards
-    /// the fleet across N workers (`session stats shards` reports the
-    /// split). Event collection is safe either way: the hub queue is a
-    /// mutex-guarded MPSC under a sharded pump.
+    /// The fleet pump. threads=1 (default) pumps on the calling thread;
+    /// set_threads(N) shards the fleet across N workers (`session stats
+    /// shards` reports the split). A single session's transcript is the
+    /// same at any thread count. Event collection is safe either way:
+    /// the hub queue is a mutex-guarded MPSC under a sharded pump.
     [[nodiscard]] ShardedScheduler& scheduler() { return scheduler_; }
 
     /// Hosts a new session from a built-in scenario / an externally

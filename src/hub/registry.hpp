@@ -6,7 +6,7 @@
 // target, DebugSession, SessionController) — hands out stable integer
 // ids, and aggregates per-session EngineStats into hub-level totals.
 // The protocol face (session open/close/list/use, @<id> routing) lives
-// in hub::HubController; the poll loop in hub::PollScheduler.
+// in hub::HubController; the fleet pump in hub::ShardedScheduler.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,7 @@ namespace gmdf::hub {
 class SessionRegistry {
 public:
     /// Session lifecycle under fault containment. A Faulted session is
-    /// quarantined: the schedulers skip it and the hub refuses to route
+    /// quarantined: the scheduler skips it and the hub refuses to route
     /// requests into it, but it stays listed (with the captured error)
     /// until closed or revived — the rest of the fleet is unaffected.
     enum class Health { Live, Faulted };

@@ -2,24 +2,129 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "core/session.hpp"
 #include "obs/trace.hpp"
+#include "rt/target.hpp"
 
 namespace gmdf::hub {
+
+void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
+    const int workers = std::min(threads, n);
+    std::atomic<int> next{0};
+    auto drain = [&] {
+        for (;;) {
+            const int i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n) return;
+            fn(i);
+        }
+    };
+    std::vector<std::thread> pool;
+    for (int w = 1; w < workers; ++w) pool.emplace_back(drain);
+    drain();
+    for (std::thread& t : pool) t.join();
+}
+
+namespace {
+
+/// Advances one session's target by `slice` and polls its transports at
+/// the new clock, under crash isolation: an exception transitions the
+/// session to Faulted (quarantining it from scheduling) instead of
+/// unwinding the pump, and a watchdog deadline overrun counts a strike
+/// — max_strikes consecutive ones quarantine the session as runaway.
+/// Returns false when the session faulted (the caller drops it from the
+/// round). The entry is exclusively held by the caller, so its health
+/// fields need no locking; `stats` is the caller's accumulator.
+///
+/// Touches only that session's state, so distinct sessions may be
+/// sliced concurrently. Every slice also feeds the obs layer: wall
+/// duration into `slice_ns` and, when the tracer is running, a
+/// "pump-slice" span on the stable per-shard track `trace_tid`.
+bool pump_session_slice_guarded(SessionRegistry::Entry& entry, rt::SimTime slice,
+                                const WatchdogConfig& watchdog, WatchdogStats& stats,
+                                obs::Histogram& slice_ns, int trace_tid) {
+    using clock = std::chrono::steady_clock;
+    // One clock pair serves the watchdog deadline and the obs histogram;
+    // with both off the slice takes no timestamps at all.
+    const bool metrics_on = obs::metrics_enabled();
+    const bool timed = watchdog.enabled() || metrics_on;
+    const clock::time_point start = timed ? clock::now() : clock::time_point{};
+    {
+        obs::Span span("hub", "pump-slice", {}, trace_tid);
+        span.arg("session", entry.name);
+        try {
+            proto::Scenario& scenario = *entry.scenario;
+            scenario.target.run_for(slice);
+            const rt::SimTime now = scenario.target.sim().now();
+            core::DebugSession& session = *scenario.session;
+            for (const auto& transport : session.transports())
+                transport->poll(session.engine(), now);
+        } catch (const std::exception& e) {
+            entry.mark_faulted(e.what());
+            return false;
+        } catch (...) {
+            entry.mark_faulted("unknown exception during pump slice");
+            return false;
+        }
+    }
+    std::int64_t elapsed_ns = 0;
+    if (timed) {
+        elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                                          start)
+                         .count();
+        if (metrics_on) slice_ns.record(static_cast<std::uint64_t>(elapsed_ns));
+    }
+    if (watchdog.enabled()) {
+        const auto elapsed_us = elapsed_ns / 1000;
+        if (elapsed_us > watchdog.slice_limit_us) {
+            ++stats.overruns;
+            if (++entry.overrun_strikes >= watchdog.max_strikes) {
+                ++stats.runaways;
+                entry.runaway = true;
+                entry.mark_faulted(
+                    "watchdog: " + std::to_string(entry.overrun_strikes) +
+                    " consecutive slices over the " +
+                    std::to_string(watchdog.slice_limit_us) + " us deadline (last " +
+                    std::to_string(elapsed_us) + " us)");
+                return false;
+            }
+        } else {
+            entry.overrun_strikes = 0; // strikes are consecutive, not lifetime
+        }
+    }
+    return true;
+}
 
 /// One session's work for this pump. Exclusively owned by whichever
 /// worker popped it (handoff happens under a shard mutex, which orders
 /// the session state), so its fields need no atomics.
-struct ShardedScheduler::Item {
+struct Item {
     SessionRegistry::Entry* entry = nullptr;
     rt::SimTime remaining = 0;
+};
+
+struct ShardQueue {
+    std::mutex mu;
+    std::deque<Item*> items;
+};
+
+/// Per-worker accumulators, merged into the scheduler's lifetime
+/// counters after the join (no shared writes during the pump).
+struct WorkerTally {
     std::uint64_t slices = 0;
     rt::SimTime advanced = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t faulted = 0;
+    WatchdogStats watchdog;
 };
+
+} // namespace
 
 void ShardedScheduler::set_threads(int threads) {
     threads_ = std::clamp(threads, 1, 256);
@@ -34,99 +139,22 @@ void ShardedScheduler::set_budget(rt::SimTime budget) {
 void ShardedScheduler::pump(SessionRegistry& registry, rt::SimTime duration,
                             const SliceHook& after_slice) {
     if (duration <= 0) return;
-    // Faulted sessions are quarantined from the rotation; size the pool
-    // for the sessions that will actually be pumped.
-    int live = 0;
+    // Faulted sessions are quarantined from the rotation. Deal the live
+    // fleet round-robin across min(threads, live) shards, in registry
+    // order; with nothing live, no shard is dealt anything.
+    std::vector<Item> items;
+    items.reserve(registry.size());
     for (const auto& e : registry.entries())
-        if (!e->faulted()) ++live;
-    const int workers = std::min(threads_, live);
-    if (workers <= 1) {
-        pump_serial(registry, duration, after_slice);
-        return;
-    }
-    pump_parallel(registry, duration, after_slice, workers);
-}
-
-void ShardedScheduler::pump_serial(SessionRegistry& registry, rt::SimTime duration,
-                                   const SliceHook& after_slice) {
-    // The PollScheduler loop, verbatim: round-robin in registry order,
-    // one budget slice per session per round. Single-session transcripts
-    // under any thread count are byte-identical to PollScheduler's.
-    std::map<int, rt::SimTime> remaining;
-    for (const auto& e : registry.entries())
-        if (!e->faulted()) remaining[e->id] = duration;
-
-    const bool has_hook = static_cast<bool>(after_slice);
-    ShardStats& shard = shards_.front();
-    shard.sessions = static_cast<int>(remaining.size());
-    WatchdogStats tally; // merged below so shard deltas are visible
-    if (obs::tracer().enabled())
-        obs::tracer().set_thread_name(obs::Tracer::kShardTidBase, "shard-0");
-
-    bool any = true;
-    while (any) {
-        any = false;
-        for (const auto& e : registry.entries()) {
-            auto it = remaining.find(e->id);
-            if (it == remaining.end() || it->second <= 0) continue;
-            rt::SimTime slice = std::min(budget_, it->second);
-            bool alive = pump_session_slice_guarded(*e, slice, watchdog_, tally,
-                                                    obs::Tracer::kShardTidBase);
-            it->second -= slice;
-            any = true;
-            SessionPumpStats& s = stats_[e->id];
-            ++s.slices;
-            s.advanced += slice;
-            ++total_slices_;
-            ++shard.slices;
-            shard.advanced += slice;
-            if (has_hook) after_slice(*e);
-            if (!alive) {
-                it->second = 0; // quarantined: out of this rotation too
-                ++shard.faulted;
-            }
-        }
-    }
-    shard.overruns += tally.overruns;
-    watchdog_stats_.overruns += tally.overruns;
-    watchdog_stats_.runaways += tally.runaways;
-}
-
-void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime duration,
-                                     const SliceHook& after_slice, int workers) {
-    struct ShardQueue {
-        std::mutex mu;
-        std::deque<Item*> items;
-    };
-    /// Per-worker accumulators, merged into the scheduler's lifetime
-    /// counters after the join (no shared writes during the pump).
-    struct WorkerTally {
-        std::uint64_t slices = 0;
-        rt::SimTime advanced = 0;
-        std::uint64_t steals = 0;
-        std::uint64_t faulted = 0;
-        WatchdogStats watchdog;
-    };
-
-    // Deal the live (non-faulted) fleet round-robin across the shards,
-    // in registry order.
-    std::vector<Item> items(registry.size());
+        if (!e->faulted()) items.push_back({e.get(), duration});
+    for (ShardStats& shard : shards_) shard.sessions = 0;
+    if (items.empty()) return;
+    const int workers = std::min(threads_, static_cast<int>(items.size()));
     std::vector<ShardQueue> queues(static_cast<std::size_t>(workers));
-    {
-        std::size_t i = 0;
-        for (const auto& e : registry.entries()) {
-            if (e->faulted()) continue;
-            items[i] = {e.get(), duration, 0, 0};
-            queues[i % static_cast<std::size_t>(workers)].items.push_back(&items[i]);
-            ++i;
-        }
-        items.resize(i);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const std::size_t w = i % static_cast<std::size_t>(workers);
+        queues[w].items.push_back(&items[i]);
+        ++shards_[w].sessions;
     }
-    for (int w = 0; w < workers; ++w)
-        shards_[static_cast<std::size_t>(w)].sessions =
-            static_cast<int>(queues[static_cast<std::size_t>(w)].items.size());
-    for (std::size_t w = static_cast<std::size_t>(workers); w < shards_.size(); ++w)
-        shards_[w].sessions = 0;
 
     // An item is (a) queued on exactly one shard, (b) exclusively held
     // by one worker, or (c) finished. in_flight counts (b); it is
@@ -184,12 +212,10 @@ void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime dura
             }
 
             const rt::SimTime slice = std::min(budget_, item->remaining);
-            const bool alive =
-                pump_session_slice_guarded(*item->entry, slice, watchdog_, tally.watchdog,
-                                           obs::Tracer::kShardTidBase + w);
+            const bool alive = pump_session_slice_guarded(
+                *item->entry, slice, watchdog_, tally.watchdog, *slice_ns_,
+                obs::Tracer::kShardTidBase + w);
             item->remaining -= slice;
-            ++item->slices;
-            item->advanced += slice;
             ++tally.slices;
             tally.advanced += slice;
             // The hook runs while the session is still exclusively ours:
@@ -209,21 +235,10 @@ void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime dura
             in_flight.fetch_sub(1, std::memory_order_acq_rel);
         }
     };
+    parallel_for(workers, workers, work);
 
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-    work(0); // the calling thread is shard 0's worker
-    for (std::thread& t : pool) t.join();
-
-    // All workers joined: merge the per-item and per-worker counters
-    // into the lifetime stats single-threaded.
-    for (const Item& item : items) {
-        SessionPumpStats& s = stats_[item.entry->id];
-        s.slices += item.slices;
-        s.advanced += item.advanced;
-        total_slices_ += item.slices;
-    }
+    // All workers joined: merge the per-worker counters into the
+    // lifetime stats single-threaded.
     for (int w = 0; w < workers; ++w) {
         ShardStats& shard = shards_[static_cast<std::size_t>(w)];
         const WorkerTally& tally = tallies[static_cast<std::size_t>(w)];
@@ -232,6 +247,7 @@ void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime dura
         shard.steals += tally.steals;
         shard.overruns += tally.watchdog.overruns;
         shard.faulted += tally.faulted;
+        total_slices_ += tally.slices;
         total_steals_ += tally.steals;
         watchdog_stats_.overruns += tally.watchdog.overruns;
         watchdog_stats_.runaways += tally.watchdog.runaways;

@@ -1,24 +1,36 @@
-// ShardedScheduler: the fleet pump across N worker threads.
+// ShardedScheduler: the fleet pump, on one thread or N.
 //
-// PollScheduler advances every live session round-robin on the calling
-// thread; one core is its ceiling. Sessions are fully isolated from
-// each other (separate targets, engines, observers, transports), so the
-// sharded scheduler partitions the fleet across worker threads and
-// pumps the shards concurrently in the same bounded simulated-time
-// slices:
+// Each hosted session fronts its own simulated target with its own
+// clock. Advancing them serially (session A for the whole duration,
+// then session B) would batch each target's events and let one chatty
+// target starve the others' liveness. The pump instead advances every
+// live session in bounded simulated-time slices: each slice runs one
+// session's target forward by at most the per-session budget and polls
+// its transports at the new clock, so events from concurrent targets
+// interleave in elapsed-time order at budget granularity.
+//
+// For a single session the sliced pump is behaviourally identical to
+// one contiguous run (the DES kernel dispatches the same events in the
+// same order across run_until boundaries) — which is what keeps
+// single-session transcripts byte-stable under the hub.
+//
+// Sessions are fully isolated from each other (separate targets,
+// engines, observers, transports), so the pump partitions the fleet
+// across worker threads:
 //
 //   - sessions are dealt round-robin (by registry order) onto
-//     min(threads, sessions) shards, each shard a deque the owning
-//     worker cycles front-to-back — within a shard service stays
-//     round-robin, exactly like PollScheduler's rounds;
+//     min(threads, sessions) shards, each shard a deque its worker pops
+//     from the front and re-queues onto at the back — so within a shard
+//     service is round-robin, and one worker runs A B C A B C in
+//     registry order on the calling thread without spawning;
 //   - a worker whose shard runs dry steals a queued session from the
 //     back of another shard and adopts it, so a few chatty sessions
 //     cannot idle the other cores (steals are counted per shard);
 //   - a session is held by exactly one worker at a time (it is off
 //     every deque while being sliced, and its after-slice hook runs
 //     before it is re-queued), so each session's slice sequence —
-//     min(budget, remaining) repeated — is the same as under
-//     PollScheduler, on one thread or eight.
+//     min(budget, remaining) repeated — is the same on one thread or
+//     eight.
 //
 // The per-session determinism contract follows: a given session's event
 // stream, transcript bytes, and replay behaviour are identical under 1
@@ -27,30 +39,66 @@
 // which different sessions' events reach the hub queue; each event
 // still carries its session tag, so consumers see a tag-correct merge.
 //
-// threads=1 (the default) never spawns a thread and runs the exact
-// PollScheduler loop, which keeps existing single-threaded transcripts
-// byte-identical and makes PollScheduler semantics the special case.
-//
 // pump() is synchronous fork-join: workers are joined before it
 // returns, so all session state is quiescent (and happens-before
 // ordered) for the caller afterwards. The slice hook is the one surface
 // that runs on worker threads — it must tolerate concurrent calls for
 // *distinct* sessions (the hub's hook serializes its shared queue with
 // a mutex; per-session work like checkpoint cadence needs nothing).
+//
+// Fault containment: every slice runs guarded. A session whose target
+// throws — or that repeatedly blows the optional wall-clock watchdog
+// deadline — transitions to Faulted and drops out of the rotation for
+// the rest of the hub's life (until revived); the other sessions' slice
+// sequences are unchanged, so their transcripts stay byte-identical
+// with or without a crashing neighbour.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <vector>
 
-#include "hub/scheduler.hpp"
+#include "hub/registry.hpp"
+#include "obs/metrics.hpp"
+#include "rt/des.hpp"
 
 namespace gmdf::hub {
 
+/// fn(i) for i in [0, n), fanned out across min(threads, n) workers
+/// pulling indices from a shared counter: the calling thread is one of
+/// them, the rest are spawned and joined before returning, so results
+/// written at distinct indices are ordered for the caller. With one
+/// worker nothing is spawned and indices run in order. fn must only
+/// touch index-local state (or synchronize what it shares), and must
+/// not throw when more than one worker runs: an exception escaping a
+/// spawned worker ends the program.
+void parallel_for(int n, int threads, const std::function<void(int)>& fn);
+
+/// Pump watchdog knobs. Off by default: the deadline is wall-clock time
+/// per slice, so enabling it makes pump outcomes depend on host load —
+/// an explicit operator choice.
+struct WatchdogConfig {
+    /// Wall-clock deadline of one slice in microseconds; 0 disables.
+    std::int64_t slice_limit_us = 0;
+    /// Consecutive overruns before the session is flagged runaway and
+    /// quarantined (a single slow slice on a loaded host is forgiven).
+    int max_strikes = 3;
+    [[nodiscard]] bool enabled() const { return slice_limit_us > 0; }
+};
+
+/// Lifetime watchdog counters.
+struct WatchdogStats {
+    std::uint64_t overruns = 0;  ///< slices that blew the deadline
+    std::uint64_t runaways = 0;  ///< sessions quarantined for repeat offenses
+};
+
 class ShardedScheduler {
 public:
-    using SliceHook = PollScheduler::SliceHook;
-    using SessionPumpStats = PollScheduler::SessionPumpStats;
+    /// Called after each per-session slice (events queued by that slice
+    /// are ready to collect). Must not open or close sessions. Runs on
+    /// worker threads (never two concurrent calls for the same session)
+    /// — it must be safe to call for distinct sessions concurrently.
+    using SliceHook = std::function<void(SessionRegistry::Entry&)>;
 
     /// Lifetime per-shard counters (`session stats shards`). `sessions`
     /// is the assignment of the most recent pump; the rest accumulate.
@@ -63,8 +111,8 @@ public:
         std::uint64_t faulted = 0;  ///< sessions its slices quarantined
     };
 
-    /// Worker-thread count; 1 (default) pumps inline with PollScheduler
-    /// semantics. Clamped to [1, 256].
+    /// Worker-thread count; 1 (default) pumps on the calling thread.
+    /// Clamped to [1, 256].
     void set_threads(int threads);
     [[nodiscard]] int threads() const { return threads_; }
 
@@ -74,49 +122,39 @@ public:
     [[nodiscard]] rt::SimTime budget() const { return budget_; }
 
     /// Pump watchdog (per-slice wall-clock deadline), shared by every
-    /// shard; disabled by default. Workers tally overruns privately and
-    /// the tallies are merged after join, so the global stats are only
-    /// read between pumps.
+    /// shard; disabled by default so transcripts never depend on host
+    /// load unless asked to. Workers tally overruns privately and the
+    /// tallies are merged after join, so the global stats are only read
+    /// between pumps.
     void set_watchdog(WatchdogConfig config) { watchdog_ = config; }
     [[nodiscard]] const WatchdogConfig& watchdog() const { return watchdog_; }
     [[nodiscard]] const WatchdogStats& watchdog_stats() const { return watchdog_stats_; }
 
     /// Advances every live session in `registry` by `duration` across
-    /// min(threads(), sessions) shards. Synchronous: returns once every
-    /// session has consumed the full duration and all workers joined.
-    /// The hook (when set) runs on worker threads, once per slice, while
-    /// the sliced session is still exclusively held.
+    /// min(threads(), live sessions) shards. Synchronous: returns once
+    /// every session has consumed the full duration and all workers
+    /// joined. The hook (when set) runs once per slice, while the sliced
+    /// session is still exclusively held.
     void pump(SessionRegistry& registry, rt::SimTime duration,
               const SliceHook& after_slice = {});
 
-    /// Per live session, kept across pumps (same shape as PollScheduler;
-    /// only read/merged between pumps, never during one).
-    [[nodiscard]] const std::map<int, SessionPumpStats>& stats() const { return stats_; }
     [[nodiscard]] std::uint64_t total_slices() const { return total_slices_; }
     [[nodiscard]] std::uint64_t total_steals() const { return total_steals_; }
 
     /// One entry per configured shard (indexed 0..threads()-1).
     [[nodiscard]] const std::vector<ShardStats>& shard_stats() const { return shards_; }
 
-    /// Drops a closed session's counters (ids never return).
-    void forget(int session_id) { stats_.erase(session_id); }
-
 private:
-    struct Item; ///< one session's remaining work, exclusively held or queued
-
-    void pump_serial(SessionRegistry& registry, rt::SimTime duration,
-                     const SliceHook& after_slice);
-    void pump_parallel(SessionRegistry& registry, rt::SimTime duration,
-                       const SliceHook& after_slice, int workers);
-
     int threads_ = 1;
     rt::SimTime budget_ = 10 * rt::kMs;
     WatchdogConfig watchdog_;
     WatchdogStats watchdog_stats_;
-    std::map<int, SessionPumpStats> stats_;
     std::uint64_t total_slices_ = 0;
     std::uint64_t total_steals_ = 0;
     std::vector<ShardStats> shards_{1};
+    /// Wall time of every slice. Registered at construction so the
+    /// /metrics catalog is complete before the first pump.
+    obs::Histogram* slice_ns_ = &obs::registry().histogram("hub.pump.slice_ns");
 };
 
 } // namespace gmdf::hub

@@ -147,7 +147,7 @@ TEST(Watchdog, RunawaySessionIsQuarantinedAfterMaxStrikes) {
     gh::SessionRegistry::Entry* a = registry.open("blinker", "a");
     ASSERT_NE(a, nullptr);
 
-    gh::PollScheduler sched;
+    gh::ShardedScheduler sched;
     // A 500 ms slice executes thousands of engine steps — reliably over
     // a 1 us wall deadline on any host.
     sched.set_budget(500 * gr::kMs);

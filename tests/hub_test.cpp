@@ -15,7 +15,6 @@
 #include "core/transports.hpp"
 #include "hub/controller.hpp"
 #include "hub/registry.hpp"
-#include "hub/scheduler.hpp"
 #include "proto/script.hpp"
 
 namespace gc = gmdf::comdes;
@@ -180,28 +179,19 @@ TEST(Scheduler, FloodingTransportCannotStarveQuietSessions) {
     // 5000 commands inside the first 5 ms vs 5 commands over 50 ms.
     Scripted flood = scripted_scenario("flood", 5000, rt::kUs);
     Scripted quiet = scripted_scenario("quiet", 5, 10 * rt::kMs);
-    ASSERT_NE(hub.adopt(std::move(flood.scenario), "flood"), nullptr);
-    ASSERT_NE(hub.adopt(std::move(quiet.scenario), "quiet"), nullptr);
+    auto* flood_entry = hub.adopt(std::move(flood.scenario), "flood");
+    auto* quiet_entry = hub.adopt(std::move(quiet.scenario), "quiet");
+    ASSERT_NE(flood_entry, nullptr);
+    ASSERT_NE(quiet_entry, nullptr);
 
     ASSERT_TRUE(hub.execute_line("run 100").ok());
 
     // Both sessions consumed their whole stream and the full duration.
     EXPECT_EQ(flood.session->engine().stats().commands, 5000u);
     EXPECT_EQ(quiet.session->engine().stats().commands, 5u);
-    const auto& stats = hub.scheduler().stats();
-    ASSERT_EQ(stats.size(), 2u);
-    const auto& flood_stats = stats.at(1);
-    const auto& quiet_stats = stats.at(2);
-    EXPECT_EQ(flood_stats.slices, 20u); // 100 ms / 5 ms budget
-    EXPECT_EQ(flood_stats.slices, quiet_stats.slices);
-    EXPECT_EQ(flood_stats.advanced, 100 * rt::kMs);
-    EXPECT_EQ(quiet_stats.advanced, 100 * rt::kMs);
-}
-
-TEST(Scheduler, RejectsNonPositiveBudget) {
-    gh::PollScheduler scheduler;
-    EXPECT_THROW(scheduler.set_budget(0), std::invalid_argument);
-    EXPECT_THROW(scheduler.set_budget(-5), std::invalid_argument);
+    EXPECT_EQ(flood_entry->scenario->target.sim().now(), 100 * rt::kMs);
+    EXPECT_EQ(quiet_entry->scenario->target.sim().now(), 100 * rt::kMs);
+    EXPECT_EQ(hub.scheduler().total_slices(), 40u); // 2 x 100 ms / 5 ms budget
 }
 
 // ---- events -----------------------------------------------------------------
@@ -262,20 +252,6 @@ TEST(Events, HubQueueIsBoundedWhenNobodyDrains) {
     EXPECT_NE(lines.front().find("@12ns"), std::string::npos) << "oldest evicted first";
 }
 
-TEST(Scheduler, StatsForgottenWhenSessionCloses) {
-    gh::HubController hub;
-    auto* a = hub.open("blinker", "a");
-    ASSERT_NE(a, nullptr);
-    int id = a->id;
-    ASSERT_TRUE(hub.execute_line("run 20").ok());
-    EXPECT_TRUE(hub.scheduler().stats().contains(id));
-    auto total = hub.scheduler().total_slices();
-    ASSERT_TRUE(hub.execute_line("session close a").ok());
-    EXPECT_FALSE(hub.scheduler().stats().contains(id))
-        << "per-session counters must not leak across session churn";
-    EXPECT_EQ(hub.scheduler().total_slices(), total);
-}
-
 // ---- hub stats --------------------------------------------------------------
 
 TEST(HubStats, AggregatesAcrossLiveSessions) {
@@ -297,15 +273,18 @@ TEST(HubStats, TotalsStayMonotonicAcrossCloses) {
     ASSERT_NE(hub.open("blinker", "a"), nullptr);
     ASSERT_NE(hub.open("blinker", "b"), nullptr);
     ASSERT_TRUE(hub.execute_line("@a info").ok());
-    ASSERT_TRUE(hub.execute_line("@b info").ok());
+    ASSERT_TRUE(hub.execute_line("@b run 20").ok());
     auto before = hub.registry().aggregate_stats();
     EXPECT_EQ(before.requests, 2u);
+    const auto slices = hub.scheduler().total_slices();
+    EXPECT_EQ(slices, 4u); // 2 sessions x 20 ms / 10 ms budget
     ASSERT_TRUE(hub.execute_line("session close a").ok());
     auto after = hub.registry().aggregate_stats();
     EXPECT_EQ(after.requests, before.requests)
         << "closing a session must not roll hub totals backwards";
     EXPECT_EQ(after.commands, before.commands);
     EXPECT_EQ(after.events_emitted, before.events_emitted);
+    EXPECT_EQ(hub.scheduler().total_slices(), slices);
 }
 
 TEST(HubStats, HelpMergesSessionAndHubRegistries) {

@@ -7,8 +7,10 @@
 
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
@@ -81,9 +83,9 @@ std::map<std::string, std::vector<std::string>> split_streams(const std::string&
 
 // ---- determinism contract ---------------------------------------------------
 
-TEST(Determinism, SingleSessionTranscriptMatchesPollSchedulerGolden) {
+TEST(Determinism, SingleSessionTranscriptMatchesQuickstartGolden) {
     // threads=4 on a one-session hub must still produce the exact
-    // PollScheduler bytes (the quickstart golden is recorded against a
+    // single-threaded bytes (the quickstart golden is recorded against a
     // bare single-threaded SessionController).
     gh::HubController hub;
     hub.scheduler().set_threads(4);
@@ -124,32 +126,50 @@ TEST(Determinism, PerSessionEventStreamsIdenticalAcrossThreadCounts) {
 // ---- fairness and stealing --------------------------------------------------
 
 TEST(Sharding, EverySessionConsumesTheFullDuration) {
-    gh::SessionRegistry registry;
-    for (int i = 0; i < 16; ++i)
-        ASSERT_NE(registry.adopt(scripted_scenario("s", 4, 20 * rt::kMs),
-                                 "s" + std::to_string(i)),
-                  nullptr);
-    gh::ShardedScheduler scheduler;
-    scheduler.set_threads(4);
-    scheduler.pump(registry, 100 * rt::kMs);
+    // 16 sessions over 4 shards, and 3 sessions on a single worker.
+    for (const auto& [threads, sessions] : {std::pair{4, 16}, std::pair{1, 3}}) {
+        gh::SessionRegistry registry;
+        for (int i = 0; i < sessions; ++i)
+            ASSERT_NE(registry.adopt(scripted_scenario("s", 4, 20 * rt::kMs),
+                                     "s" + std::to_string(i)),
+                      nullptr);
+        gh::ShardedScheduler scheduler;
+        scheduler.set_threads(threads);
+        std::mutex mu;
+        std::vector<int> order;
+        scheduler.pump(registry, 100 * rt::kMs, [&](gh::SessionRegistry::Entry& e) {
+            std::lock_guard<std::mutex> lock(mu);
+            order.push_back(e.id);
+        });
 
-    ASSERT_EQ(scheduler.stats().size(), 16u);
-    for (const auto& [id, s] : scheduler.stats()) {
-        EXPECT_EQ(s.advanced, 100 * rt::kMs) << "session " << id << " shortchanged";
-        EXPECT_EQ(s.slices, 10u); // 100 ms / 10 ms default budget
-    }
-    EXPECT_EQ(scheduler.total_slices(), 160u);
+        for (const auto& e : registry.entries())
+            EXPECT_EQ(e->scenario->target.sim().now(), 100 * rt::kMs)
+                << "session " << e->id << " shortchanged";
+        // 100 ms / 10 ms default budget, per session.
+        const auto slices = static_cast<std::uint64_t>(sessions) * 10u;
+        EXPECT_EQ(scheduler.total_slices(), slices);
+        EXPECT_EQ(order.size(), slices);
 
-    // The deal covered all four shards and dealt the whole fleet.
-    int dealt = 0;
-    std::uint64_t sliced = 0;
-    for (const auto& shard : scheduler.shard_stats()) {
-        dealt += shard.sessions;
-        sliced += shard.slices;
-        EXPECT_EQ(shard.sessions, 4);
+        // The deal covered every shard evenly and dealt the whole fleet.
+        int dealt = 0;
+        std::uint64_t sliced = 0;
+        for (const auto& shard : scheduler.shard_stats()) {
+            dealt += shard.sessions;
+            sliced += shard.slices;
+            EXPECT_EQ(shard.sessions, sessions / threads);
+        }
+        EXPECT_EQ(dealt, sessions);
+        EXPECT_EQ(sliced, slices);
+
+        // One worker services the fleet round-robin in registry order:
+        // 1 2 3 1 2 3 ...
+        if (threads == 1) {
+            std::vector<int> expected;
+            for (int round = 0; round < 10; ++round)
+                for (const auto& e : registry.entries()) expected.push_back(e->id);
+            EXPECT_EQ(order, expected);
+        }
     }
-    EXPECT_EQ(dealt, 16);
-    EXPECT_EQ(sliced, 160u);
 }
 
 TEST(Sharding, IdleWorkersStealFromOverloadedShards) {
@@ -169,8 +189,9 @@ TEST(Sharding, IdleWorkersStealFromOverloadedShards) {
     scheduler.set_threads(4);
     scheduler.pump(registry, 200 * rt::kMs);
 
-    for (const auto& [id, s] : scheduler.stats())
-        EXPECT_EQ(s.advanced, 200 * rt::kMs) << "session " << id;
+    for (const auto& e : registry.entries())
+        EXPECT_EQ(e->scenario->target.sim().now(), 200 * rt::kMs) << "session " << e->id;
+    EXPECT_EQ(scheduler.total_slices(), 320u); // 16 x 200 ms / 10 ms budget
     EXPECT_GE(scheduler.total_steals(), 1u)
         << "idle shards never relieved the overloaded one";
 }
@@ -210,6 +231,28 @@ TEST(HubVerb, SessionStatsShardsReportsTheSplit) {
     EXPECT_NE(resp.body[1].find("shard 0: sessions 1"), std::string::npos);
     EXPECT_NE(resp.body[2].find("shard 1: sessions 1"), std::string::npos);
     EXPECT_NE(resp.body[3].find("steals-total"), std::string::npos);
+
+    // `sessions` is the last pump's deal: with one live session left,
+    // shard 1 was dealt nothing.
+    ASSERT_TRUE(hub.execute_line("session close b").ok());
+    ASSERT_TRUE(hub.execute_line("run 50").ok());
+    resp = hub.execute_line("session stats shards");
+    ASSERT_TRUE(resp.ok());
+    ASSERT_EQ(resp.body.size(), 4u);
+    EXPECT_NE(resp.body[1].find("shard 0: sessions 1"), std::string::npos) << resp.body[1];
+    EXPECT_NE(resp.body[2].find("shard 1: sessions 0"), std::string::npos) << resp.body[2];
+
+    // A registry with no live session is dealt onto no shard at all.
+    gh::SessionRegistry idle;
+    gh::SessionRegistry::Entry* quarantined = idle.open("blinker", "q");
+    ASSERT_NE(quarantined, nullptr);
+    quarantined->mark_faulted("quarantined");
+    hub.scheduler().pump(idle, 50 * rt::kMs);
+    resp = hub.execute_line("session stats shards");
+    ASSERT_TRUE(resp.ok());
+    ASSERT_EQ(resp.body.size(), 4u);
+    EXPECT_NE(resp.body[1].find("shard 0: sessions 0"), std::string::npos) << resp.body[1];
+    EXPECT_NE(resp.body[2].find("shard 1: sessions 0"), std::string::npos) << resp.body[2];
 }
 
 // ---- campaign ---------------------------------------------------------------

@@ -99,6 +99,9 @@ public:
     void step(std::span<const double> in, std::span<double> out, double dt) override {
         auto x = [&](std::size_t i) { return in[i]; };
         double& y = out[0];
+        // Saturations are min(max(v, lo), hi), never std::clamp: parameters
+        // can arrive with lo > hi (FlipParamSign negates ratelimit_'s step),
+        // which std::clamp leaves undefined.
         if (kind_ == "const_") y = p_[0];
         else if (kind_ == "gain_") y = p_[0] * x(0);
         else if (kind_ == "offset_") y = p_[0] + x(0);
@@ -121,7 +124,7 @@ public:
             if (x(0) >= p_[1]) state_ = 1.0;
             else if (x(0) <= p_[0]) state_ = 0.0;
             y = state_;
-        } else if (kind_ == "limit_") y = std::clamp(x(0), p_[0], p_[1]);
+        } else if (kind_ == "limit_") y = std::min(std::max(x(0), p_[0]), p_[1]);
         else if (kind_ == "deadband_") y = std::fabs(x(0)) <= p_[0] ? 0.0 : x(0);
         else if (kind_ == "integrator_") {
             state_ += p_[0] * x(0) * dt;
@@ -145,7 +148,7 @@ public:
                 state_ = x(0);
                 initialized_ = true;
             }
-            state_ += std::clamp(x(0) - state_, -max_step, max_step);
+            state_ += std::min(std::max(x(0) - state_, -max_step), max_step);
             y = state_;
         } else if (kind_ == "delay_") {
             publish(out);
@@ -167,7 +170,7 @@ public:
             // Conditional integration anti-windup: only integrate while
             // the unsaturated output stays within [out_lo, out_hi].
             if (candidate > p_[3] && candidate < p_[4]) integ_ += e * dt;
-            y = std::clamp(p_[0] * e + p_[1] * integ_ + p_[2] * d, p_[3], p_[4]);
+            y = std::min(std::max(p_[0] * e + p_[1] * integ_ + p_[2] * d, p_[3]), p_[4]);
         } else {
             throw std::logic_error("unhandled kind " + kind_);
         }

@@ -98,9 +98,11 @@ Value call_builtin(const std::string& fn, const std::vector<Value>& args) {
     }
     if (fn == "clamp") {
         need(3);
+        // Not std::clamp: the bounds are operands, and lo > hi would be
+        // undefined behaviour there. This form returns hi for lo > hi.
         if (both_int(args[0], args[1]) && args[2].is_int())
-            return Value(std::clamp(args[0].as_int(), args[1].as_int(), args[2].as_int()));
-        return Value(std::clamp(num(0), num(1), num(2)));
+            return Value(std::min(std::max(args[0].as_int(), args[1].as_int()), args[2].as_int()));
+        return Value(std::min(std::max(num(0), num(1)), num(2)));
     }
     if (fn == "floor") { need(1); return Value(std::floor(num(0))); }
     if (fn == "ceil") { need(1); return Value(std::ceil(num(0))); }

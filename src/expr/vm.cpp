@@ -89,9 +89,11 @@ VmValue call_builtin(Builtin fn, const VmValue* args, int argc) {
             return VmValue::of_int(args[0].i < 0 ? -args[0].i : args[0].i);
         return VmValue::of_real(std::fabs(num(0)));
     case Builtin::Clamp:
+        // Same min/max form as the tree-walk evaluator (hi wins when
+        // lo > hi), never std::clamp.
         if (both_int(args[0], args[1]) && args[2].is_int())
-            return VmValue::of_int(std::clamp(args[0].i, args[1].i, args[2].i));
-        return VmValue::of_real(std::clamp(num(0), num(1), num(2)));
+            return VmValue::of_int(std::min(std::max(args[0].i, args[1].i), args[2].i));
+        return VmValue::of_real(std::min(std::max(num(0), num(1)), num(2)));
     case Builtin::Floor: return VmValue::of_real(std::floor(num(0)));
     case Builtin::Ceil: return VmValue::of_real(std::ceil(num(0)));
     case Builtin::Sqrt: return VmValue::of_real(std::sqrt(num(0)));
@@ -124,7 +126,7 @@ double call_builtin_num(Builtin fn, const double* args) {
     case Builtin::Min: return std::min(args[0], args[1]);
     case Builtin::Max: return std::max(args[0], args[1]);
     case Builtin::Abs: return std::fabs(args[0]);
-    case Builtin::Clamp: return std::clamp(args[0], args[1], args[2]);
+    case Builtin::Clamp: return std::min(std::max(args[0], args[1]), args[2]);
     case Builtin::Floor: return std::floor(args[0]);
     case Builtin::Ceil: return std::ceil(args[0]);
     case Builtin::Sqrt: return std::sqrt(args[0]);

@@ -75,24 +75,18 @@ HubController::HubController() {
                          " histograms (optionally filtered by name prefix)",
                          nullptr});
     init_slice_hook();
-    // Publish the hub's legacy stats structs (EngineStats aggregate,
-    // HubStats, ShardStats, WatchdogStats) into the obs registry at scrape
-    // time. Collectors run on the scraping thread — for this hub that is
-    // the serving thread, between requests.
-    obs::registry().add_collector(this, [this](obs::Registry&) { publish_metrics(); });
 }
 
-HubController::~HubController() { obs::registry().remove_collector(this); }
+HubController::~HubController() = default;
 
-void HubController::publish_metrics() {
-    obs::Registry& reg = obs::registry();
+void HubController::publish_metrics(obs::Registry& reg) {
     const auto set = [&reg](std::string_view name, std::uint64_t v) {
-        reg.gauge(name).set(static_cast<std::int64_t>(v));
+        reg.counter(name).set(v);
     };
-    set("hub.sessions.live", registry_.size());
+    reg.gauge("hub.sessions.live").set(static_cast<std::int64_t>(registry_.size()));
+    reg.gauge("hub.sessions.faulted").set(static_cast<std::int64_t>(registry_.faulted_count()));
     set("hub.sessions.opened", registry_.opened());
     set("hub.sessions.closed", registry_.closed());
-    set("hub.sessions.faulted", registry_.faulted_count());
     set("hub.requests", stats_.requests);
     set("hub.request_errors", stats_.request_errors);
     set("hub.events_dropped", stats_.events_dropped);
@@ -115,15 +109,22 @@ void HubController::publish_metrics() {
         const ShardedScheduler::ShardStats& s = shards[i];
         const std::string shard = std::to_string(i);
         const auto sset = [&reg, &shard](std::string_view name, std::uint64_t v) {
-            reg.gauge(name, "shard", shard).set(static_cast<std::int64_t>(v));
+            reg.counter(name, "shard", shard).set(v);
         };
-        sset("hub.shard.sessions", static_cast<std::uint64_t>(s.sessions));
+        reg.gauge("hub.shard.sessions", "shard", shard).set(s.sessions);
         sset("hub.shard.slices", s.slices);
         sset("hub.shard.advanced_ms", static_cast<std::uint64_t>(s.advanced / rt::kMs));
         sset("hub.shard.steals", s.steals);
         sset("hub.shard.overruns", s.overruns);
         sset("hub.shard.faulted", s.faulted);
     }
+    if (net_stats_provider_.publish) net_stats_provider_.publish(reg);
+}
+
+std::string HubController::prometheus_text() {
+    obs::Registry scoped;
+    publish_metrics(scoped);
+    return obs::registry().prometheus_text(&scoped);
 }
 
 proto::Response HubController::cmd_metrics(const proto::Request& req) {
@@ -131,7 +132,9 @@ proto::Response HubController::cmd_metrics(const proto::Request& req) {
         return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                            "usage: metrics [prefix]");
     const std::string prefix = req.args.empty() ? std::string() : req.args[0];
-    std::vector<std::string> body = obs::registry().text_dump(prefix);
+    obs::Registry scoped;
+    publish_metrics(scoped);
+    std::vector<std::string> body = obs::registry().text_dump(prefix, &scoped);
     if (body.empty())
         body.push_back(prefix.empty() ? "(no metrics)"
                                       : "(no metrics match '" + prefix + "')");
@@ -595,10 +598,10 @@ proto::Response HubController::session_stats() {
 }
 
 proto::Response HubController::session_stats_net() {
-    if (!net_stats_provider_)
+    if (!net_stats_provider_.lines)
         return proto::Response::make_error(proto::ErrorCode::BadState,
                                            "no network server attached");
-    return proto::Response::make_ok(net_stats_provider_());
+    return proto::Response::make_ok(net_stats_provider_.lines());
 }
 
 proto::Response HubController::session_stats_shards() {

@@ -22,6 +22,7 @@
 //   campaign run <pairs> [seed]      seeded fault-hunt campaign over
 //                                    generated models (gmdf::campaign)
 //   campaign report                  re-print the last campaign's summary
+//   metrics [prefix]                 this hub's scrape (see below)
 //
 // Every other verb is dispatched to the addressed (or current) session's
 // own controller, whose `run` hook the hub rebinds to the scheduler — so
@@ -39,6 +40,12 @@
 // unchanged; a network server passes one context per connection, giving
 // each client its own `session use` state and allowlist over the same
 // shared fleet.
+//
+// Scrapes (`metrics`, prometheus_text()) render obs::registry() merged
+// with a throwaway registry of this hub's own totals and its server's,
+// so hubs in one process never see each other's counts. Totals render
+// as counters, levels (live/faulted sessions, shard assignment, open
+// connections) as gauges.
 #pragma once
 
 #include <cstdint>
@@ -156,10 +163,14 @@ public:
                            const std::string& line)>;
     void set_event_sink(EventSink sink) { event_sink_ = std::move(sink); }
 
-    /// `session stats net` delegates here; installed by a network server
-    /// (bad-state without one, so non-networked transcripts never grow
-    /// nondeterministic counter lines).
-    using NetStatsProvider = std::function<std::vector<std::string>()>;
+    /// A network server's report, installed by the server: `lines` is
+    /// the `session stats net` body (bad-state without a server, so
+    /// non-networked transcripts never grow nondeterministic counter
+    /// lines) and `publish` writes its totals into a scrape.
+    struct NetStatsProvider {
+        std::function<std::vector<std::string>()> lines;
+        std::function<void(obs::Registry&)> publish;
+    };
     void set_net_stats_provider(NetStatsProvider provider) {
         net_stats_provider_ = std::move(provider);
     }
@@ -174,6 +185,9 @@ public:
     [[nodiscard]] const proto::Dispatcher& dispatcher() const { return hub_dispatcher_; }
 
     [[nodiscard]] const HubStats& stats() const { return stats_; }
+
+    /// This hub's scrape as Prometheus text (what GET /metrics serves).
+    [[nodiscard]] std::string prometheus_text();
 
     /// True once a second concurrent session has been opened (event
     /// tagging is on for good).
@@ -202,7 +216,7 @@ private:
     proto::Response cmd_acl(const proto::Request& req, RouteContext& ctx);
     proto::Response cmd_campaign(const proto::Request& req);
     proto::Response cmd_metrics(const proto::Request& req);
-    void publish_metrics();
+    void publish_metrics(obs::Registry& reg);
 
     SessionRegistry registry_;
     ShardedScheduler scheduler_;

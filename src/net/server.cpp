@@ -43,24 +43,7 @@ constexpr std::string_view kHttpGet = "GET ";
 } // namespace
 
 Server::Server(hub::HubController& hub, ServerConfig config)
-    : hub_(hub), config_(std::move(config)) {
-    obs::Registry& reg = obs::registry();
-    obs_.accepted = &reg.counter("net.accepted");
-    obs_.closed = &reg.counter("net.closed");
-    obs_.protocol_errors = &reg.counter("net.protocol_errors");
-    obs_.pings = &reg.counter("net.pings");
-    obs_.scrapes = &reg.counter("net.scrapes");
-    obs_.bytes_in = &reg.counter("net.bytes_in");
-    obs_.bytes_out = &reg.counter("net.bytes_out");
-    const auto per_codec = [&reg](std::string_view name) {
-        return PerCodec{&reg.counter(name, "codec", "frame"),
-                        &reg.counter(name, "codec", "line")};
-    };
-    obs_.requests = per_codec("net.requests");
-    obs_.events_sent = per_codec("net.events_sent");
-    obs_.events_dropped = per_codec("net.events_dropped");
-    obs_.backpressure_pauses = per_codec("net.backpressure_pauses");
-}
+    : hub_(hub), config_(std::move(config)) {}
 
 Server::~Server() { stop(); }
 
@@ -100,27 +83,20 @@ bool Server::start(std::string* error) {
                                const std::string& line) {
         fan_out_event(session_id, session_name, line);
     });
-    hub_.set_net_stats_provider([this] { return stats_lines(); });
-    // Server-state gauges the inline counters can't carry (current
-    // connection count, refusals). Scrapes run on the serving thread, so
-    // reading stats_ here is race-free.
-    obs::registry().add_collector(this, [this](obs::Registry& reg) {
-        reg.gauge("net.connections").set(static_cast<std::int64_t>(connections_.size()));
-        reg.gauge("net.refused").set(static_cast<std::int64_t>(stats_.refused));
-        reg.gauge("net.idle_closed").set(static_cast<std::int64_t>(stats_.idle_closed));
-        reg.gauge("net.busy_shed").set(static_cast<std::int64_t>(stats_.busy_shed));
-    });
+    // The hub calls both on the serving thread (inside a request or a
+    // GET /metrics), so reading stats_ and connections_ needs no lock.
+    hub_.set_net_stats_provider({[this] { return stats_lines(); },
+                                 [this](obs::Registry& reg) { publish_metrics(reg); }});
     return true;
 }
 
 void Server::stop() {
-    obs::registry().remove_collector(this);
     while (!connections_.empty()) close_connection(connections_.size() - 1);
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
         hub_.set_event_sink(nullptr);
-        hub_.set_net_stats_provider(nullptr);
+        hub_.set_net_stats_provider({});
     }
 }
 
@@ -241,7 +217,6 @@ void Server::accept_pending() {
         }
         connections_.push_back(std::move(conn));
         ++stats_.accepted;
-        obs_.accepted->add();
     }
 }
 
@@ -252,7 +227,6 @@ bool Server::read_connection(Connection& conn) {
         if (n > 0) {
             conn.bytes_in += static_cast<std::uint64_t>(n);
             stats_.bytes_in += static_cast<std::uint64_t>(n);
-            obs_.bytes_in->add(static_cast<std::uint64_t>(n));
             conn.last_activity = std::chrono::steady_clock::now();
             switch (conn.mode) {
             case Connection::Mode::Detect:
@@ -341,7 +315,6 @@ bool Server::process_input(Connection& conn) {
                 // refreshed the idle clock, which is the point.
                 queue_bytes(conn, encode_frame(FrameType::Ping, frame.payload));
                 ++stats_.pings;
-                obs_.pings->add();
                 continue;
             }
             if (frame.type != FrameType::Request) {
@@ -394,8 +367,8 @@ bool Server::process_http(Connection& conn) {
     std::string content_type = "text/plain; version=0.0.4; charset=utf-8";
     std::string body;
     if (path == "/metrics") {
-        obs_.scrapes->add();
-        body = obs::registry().prometheus_text();
+        ++stats_.scrapes;
+        body = hub_.prometheus_text();
     } else {
         status = "404 Not Found";
         content_type = "text/plain; charset=utf-8";
@@ -414,7 +387,6 @@ bool Server::process_http(Connection& conn) {
 bool Server::handle_request(Connection& conn, std::string_view line) {
     ++conn.requests;
     ++stats_.requests;
-    obs_.requests.of(conn).add();
     std::string_view trimmed = trim_view(line);
     bool is_quit = trimmed == "quit" || trimmed == "exit";
     proto::Response resp = hub_.execute_line(trimmed, conn.ctx);
@@ -450,7 +422,6 @@ void Server::fan_out_event(int session_id, std::string_view session_name,
             conn->pending_events.pop_front();
             ++conn->events_dropped;
             ++stats_.events_dropped;
-            obs_.events_dropped.of(*conn).add();
         }
         conn->pending_events.push_back(line);
     }
@@ -466,7 +437,7 @@ void Server::flush_pending_events(Connection& conn, bool force) {
             // counter reads as "how often fan-out stalled".
             if (!conn.bp_paused) {
                 conn.bp_paused = true;
-                obs_.backpressure_pauses.of(conn).add();
+                ++stats_.backpressure_pauses;
             }
             return;
         }
@@ -476,7 +447,6 @@ void Server::flush_pending_events(Connection& conn, bool force) {
         else
             queue_bytes(conn, line);
         ++stats_.events_sent;
-        obs_.events_sent.of(conn).add();
         conn.pending_events.pop_front();
     }
     conn.bp_paused = false;
@@ -499,7 +469,6 @@ bool Server::write_connection(Connection& conn) {
             conn.out_pos += static_cast<std::size_t>(n);
             conn.bytes_out += static_cast<std::uint64_t>(n);
             stats_.bytes_out += static_cast<std::uint64_t>(n);
-            obs_.bytes_out->add(static_cast<std::uint64_t>(n));
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
@@ -532,7 +501,6 @@ void Server::shed_busy(Connection& conn) {
 
 void Server::protocol_error(Connection& conn, const std::string& message) {
     ++stats_.protocol_errors;
-    obs_.protocol_errors->add();
     if (conn.mode == Connection::Mode::Frame)
         queue_bytes(conn, encode_frame(FrameType::Error, message));
     else
@@ -552,9 +520,29 @@ void Server::close_connection(std::size_t index) {
     }
     hub_.release_context(conn.ctx);
     ++stats_.closed;
-    obs_.closed->add();
     connections_.erase(connections_.begin() +
                        static_cast<std::ptrdiff_t>(index));
+}
+
+void Server::publish_metrics(obs::Registry& reg) const {
+    const auto set = [&reg](std::string_view name, std::uint64_t v) {
+        reg.counter(name).set(v);
+    };
+    set("net.accepted", stats_.accepted);
+    set("net.closed", stats_.closed);
+    set("net.refused", stats_.refused);
+    set("net.protocol_errors", stats_.protocol_errors);
+    set("net.requests", stats_.requests);
+    set("net.bytes_in", stats_.bytes_in);
+    set("net.bytes_out", stats_.bytes_out);
+    set("net.events_sent", stats_.events_sent);
+    set("net.events_dropped", stats_.events_dropped);
+    set("net.pings", stats_.pings);
+    set("net.idle_closed", stats_.idle_closed);
+    set("net.busy_shed", stats_.busy_shed);
+    set("net.scrapes", stats_.scrapes);
+    set("net.backpressure_pauses", stats_.backpressure_pauses);
+    reg.gauge("net.connections").set(static_cast<std::int64_t>(connections_.size()));
 }
 
 std::vector<std::string> Server::stats_lines() const {

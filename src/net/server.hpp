@@ -23,6 +23,11 @@
 // the close, and the hub releases only the sessions this client opened
 // — a client can never tear down sessions it didn't open.
 //
+// NetStats is the only home of the server's counts. start() hands the
+// hub a NetStatsProvider, so `session stats net` and the hub's scrapes
+// (`metrics`, GET /metrics) read them from here; nothing is registered
+// in obs::registry().
+//
 // The loop is deliberately single-threaded (connection handling is
 // commingled with hub state, which is not locked); run() can live on a
 // dedicated thread as long as nothing else touches the hub meanwhile.
@@ -67,8 +72,8 @@ struct ServerConfig {
     int accept_high_water = 0;
 };
 
-/// Server-wide counters (per-connection ones live on the connection and
-/// roll up into events_dropped/bytes when it closes).
+/// Server-wide totals, counted live as the server works. Each connection
+/// also keeps its own bytes, requests and drops for `session stats net`.
 struct NetStats {
     std::uint64_t accepted = 0;
     std::uint64_t closed = 0;
@@ -82,6 +87,8 @@ struct NetStats {
     std::uint64_t pings = 0;          ///< heartbeat frames echoed
     std::uint64_t idle_closed = 0;    ///< connections closed by the idle timeout
     std::uint64_t busy_shed = 0;      ///< connections shed at the high-water mark
+    std::uint64_t scrapes = 0;        ///< GET /metrics requests served
+    std::uint64_t backpressure_pauses = 0; ///< event fan-out stalls over high water
 };
 
 class Server {
@@ -164,6 +171,8 @@ private:
     /// Busy reply in the connection's detected codec, then drain+close.
     void shed_busy(Connection& conn);
     void close_connection(std::size_t index);
+    /// Writes stats_ and the open connection count into a hub scrape.
+    void publish_metrics(obs::Registry& reg) const;
 
     hub::HubController& hub_;
     ServerConfig config_;
@@ -172,31 +181,6 @@ private:
     int next_conn_id_ = 1;
     std::vector<std::unique_ptr<Connection>> connections_;
     NetStats stats_;
-
-    /// obs registry handles, resolved once at construction so the hot
-    /// paths pay a single atomic add. Per-codec families carry a
-    /// codec=frame|line label; `first` is the frame handle.
-    struct PerCodec {
-        obs::Counter* frame;
-        obs::Counter* line;
-        obs::Counter& of(const Connection& conn) const {
-            return conn.mode == Connection::Mode::Frame ? *frame : *line;
-        }
-    };
-    struct ObsCounters {
-        obs::Counter* accepted;
-        obs::Counter* closed;
-        obs::Counter* protocol_errors;
-        obs::Counter* pings;
-        obs::Counter* scrapes;
-        obs::Counter* bytes_in;
-        obs::Counter* bytes_out;
-        PerCodec requests;
-        PerCodec events_sent;
-        PerCodec events_dropped;
-        PerCodec backpressure_pauses;
-    };
-    ObsCounters obs_;
 };
 
 } // namespace gmdf::net

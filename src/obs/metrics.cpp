@@ -129,41 +129,30 @@ Histogram& Registry::histogram(std::string_view name, std::string_view label_key
     return *find_or_create(Kind::Histogram, name, label_key, label_value).histogram;
 }
 
-void Registry::add_collector(const void* owner, std::function<void(Registry&)> fn) {
-    std::lock_guard<std::mutex> lock(collector_mu_);
-    collectors_.emplace_back(owner, std::move(fn));
-}
-
-void Registry::remove_collector(const void* owner) {
-    std::lock_guard<std::mutex> lock(collector_mu_);
-    std::erase_if(collectors_, [owner](const auto& c) { return c.first == owner; });
-}
-
-void Registry::collect() {
-    std::lock_guard<std::mutex> lock(collector_mu_);
-    for (auto& [owner, fn] : collectors_) fn(*this);
-}
-
 template <typename Fn>
-void Registry::for_each_sorted(Fn&& fn) {
-    // Scrape path: gather (name, label value) → Entry* across shards, then
-    // visit in sorted order. Entry pointers stay valid after the shard
-    // mutexes drop because metrics are never erased.
+void Registry::for_each_sorted(const Registry* scoped, Fn&& fn) const {
+    // Scrape path: gather (name, label value) → Entry* across shards (and
+    // the scoped registry's), then visit in sorted order. Entry pointers
+    // stay valid after the shard mutexes drop because metrics are never
+    // erased.
     std::vector<std::pair<std::pair<std::string, std::string>, const Entry*>> all;
-    for (Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto& [key, entry] : shard.metrics) all.emplace_back(key, &entry);
+    for (const Registry* reg : {this, scoped}) {
+        if (reg == nullptr) continue;
+        for (const Shard& shard : reg->shards_) {
+            std::lock_guard<std::mutex> lock(shard.mu);
+            for (const auto& [key, entry] : shard.metrics) all.emplace_back(key, &entry);
+        }
     }
     std::sort(all.begin(), all.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [key, entry] : all) fn(key.first, key.second, *entry);
 }
 
-std::vector<std::string> Registry::text_dump(std::string_view prefix) {
-    collect();
+std::vector<std::string> Registry::text_dump(std::string_view prefix,
+                                            const Registry* scoped) const {
     std::vector<std::string> lines;
-    for_each_sorted([&](const std::string& name, const std::string& label_value,
-                        const Entry& entry) {
+    for_each_sorted(scoped, [&](const std::string& name, const std::string& label_value,
+                                const Entry& entry) {
         if (!prefix.empty() && name.compare(0, prefix.size(), prefix) != 0) return;
         std::string line = name;
         if (!entry.label_key.empty()) {
@@ -192,13 +181,12 @@ std::vector<std::string> Registry::text_dump(std::string_view prefix) {
     return lines;
 }
 
-std::string Registry::prometheus_text() {
-    collect();
+std::string Registry::prometheus_text(const Registry* scoped) const {
     std::string out;
     out.reserve(4096);
     std::string last_family;
-    for_each_sorted([&](const std::string& name, const std::string& label_value,
-                        const Entry& entry) {
+    for_each_sorted(scoped, [&](const std::string& name, const std::string& label_value,
+                                const Entry& entry) {
         const std::string family = sanitize(name);
         if (family != last_family) {
             out += "# TYPE " + family + ' ';

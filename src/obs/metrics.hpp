@@ -13,14 +13,13 @@
 // lookups take one shard mutex, updates through a handle take none.
 //
 // Metrics carry at most one label pair (key, value); families that fan out
-// (per-verb, per-shard, per-codec) use it, everything else leaves it empty.
+// (per-verb, per-shard) use it, everything else leaves it empty.
 //
-// Legacy stats structs (EngineStats, NetStats, ShardStats, ...) publish via
-// *collectors*: callbacks registered with an owner pointer that set gauges
-// at scrape time. Collectors run serialized under the registry's collector
-// mutex, on the thread that asked for the dump — owners must only register
-// collectors whose reads are safe from the scraping thread (the hub and
-// server scrape from the serving thread, between requests).
+// The global registry holds only instrumented families. Totals that live
+// in a stats struct (EngineStats, NetStats, ShardStats, ...) are never
+// mirrored here: a scrape copies them into a throwaway Registry and passes
+// it as `scoped` to a render call, which merges it into the sorted output
+// (its names must not also exist in the rendering registry).
 //
 // Rendering:
 //   - text_dump(prefix)   — one line per metric, sorted by (name, label),
@@ -28,15 +27,15 @@
 //   - prometheus_text()   — Prometheus text exposition (version 0.0.4) with
 //                           a gmdf_ prefix, served for GET /metrics
 //
-// set_metrics_enabled(false) turns every update into a no-op (one relaxed
-// load) — the knob the overhead bench flips to price the instrumentation.
+// set_metrics_enabled(false) turns every add/record into a no-op (one
+// relaxed load) — the knob the overhead bench flips to price the
+// instrumentation. Publishing with set() is not gated.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,14 +53,16 @@ class Counter {
     void add(std::uint64_t n = 1) {
         if (metrics_enabled()) value_.fetch_add(n, std::memory_order_relaxed);
     }
+    // Publishes a total counted elsewhere (a stats struct) into a scrape.
+    void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
     std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
   private:
     std::atomic<std::uint64_t> value_{0};
 };
 
-// Gauges are set, not accumulated — collectors overwrite them at scrape
-// time, so they are not gated on metrics_enabled().
+// Gauges are set, not accumulated — scrapes publish them from the state
+// they describe, so they are not gated on metrics_enabled().
 class Gauge {
   public:
     void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
@@ -134,26 +135,19 @@ class Registry {
     Histogram& histogram(std::string_view name, std::string_view label_key = {},
                          std::string_view label_value = {});
 
-    // Collectors publish derived values (legacy stats structs) as gauges at
-    // scrape time. `owner` keys removal; register in a ctor, remove in the
-    // matching dtor.
-    void add_collector(const void* owner, std::function<void(Registry&)> fn);
-    void remove_collector(const void* owner);
-
-    // Run all collectors (serialized). text_dump/prometheus_text call this
-    // themselves.
-    void collect();
-
     // `metrics [prefix]` view: "name{key=value} <value>" per counter/gauge,
     // "name{key=value} count=<n> p50=<ns> p90=<ns> p99=<ns> mean=<ns>" per
     // histogram; sorted by (name, label value); optionally filtered to
-    // names starting with `prefix`.
-    std::vector<std::string> text_dump(std::string_view prefix = {});
+    // names starting with `prefix`. A non-null `scoped` registry is
+    // merged into the sorted output.
+    std::vector<std::string> text_dump(std::string_view prefix = {},
+                                       const Registry* scoped = nullptr) const;
 
     // Prometheus text exposition: names sanitized to gmdf_<name> with
     // non-alphanumerics folded to '_'; histograms as cumulative _bucket
     // series (trimmed past the last occupied bucket) plus _sum/_count.
-    std::string prometheus_text();
+    // `scoped` merges as in text_dump.
+    std::string prometheus_text(const Registry* scoped = nullptr) const;
 
     std::size_t metric_count() const;
 
@@ -180,13 +174,10 @@ class Registry {
     Shard& shard_for(std::string_view name, std::string_view label_value);
 
     template <typename Fn>
-    void for_each_sorted(Fn&& fn);
+    void for_each_sorted(const Registry* scoped, Fn&& fn) const;
 
     static constexpr std::size_t kShards = 16;
     std::array<Shard, kShards> shards_;
-
-    std::mutex collector_mu_;
-    std::vector<std::pair<const void*, std::function<void(Registry&)>>> collectors_;
 };
 
 // The process-global registry every instrumented subsystem publishes into.

@@ -127,6 +127,9 @@ TEST(Eval, Builtins) {
     EXPECT_EQ(run("abs(-4)").as_int(), 4);
     EXPECT_DOUBLE_EQ(run("abs(-4.5)").as_real(), 4.5);
     EXPECT_EQ(run("clamp(10, 0, 5)").as_int(), 5);
+    // Inverted bounds: the upper bound wins (std::clamp would be UB here).
+    EXPECT_EQ(run("clamp(7, 5, 1)").as_int(), 1);
+    EXPECT_DOUBLE_EQ(run("clamp(7.5, 5, 1)").as_real(), 1.0);
     EXPECT_DOUBLE_EQ(run("floor(2.7)").as_real(), 2.0);
     EXPECT_DOUBLE_EQ(run("ceil(2.2)").as_real(), 3.0);
     EXPECT_DOUBLE_EQ(run("sqrt(9)").as_real(), 3.0);

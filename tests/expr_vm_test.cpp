@@ -248,6 +248,16 @@ TEST(VmFolding, BuiltinsAndConditionalsFold) {
     EXPECT_TRUE(ge::compile("min(2, 3) + max(1.5, 0)", {}).is_constant());
     EXPECT_TRUE(ge::compile("1 < 2 ? 10 : 20", {}).is_constant());
     EXPECT_TRUE(ge::compile("sqrt(pow(3, 2))", {}).is_constant());
+    // Inverted clamp bounds fold to the upper bound, as interpreted.
+    ge::VmValue out;
+    auto ci = ge::compile("clamp(7, 5, 1)", {});
+    ASSERT_TRUE(ci.is_constant());
+    ASSERT_EQ(ci.run(std::span<const ge::VmValue>{}, out), ge::VmStatus::Ok);
+    EXPECT_TRUE(out.is_int() && out.i == 1);
+    auto cr = ge::compile("clamp(7.5, 5, 1)", {});
+    ASSERT_TRUE(cr.is_constant());
+    ASSERT_EQ(cr.run(std::span<const ge::VmValue>{}, out), ge::VmStatus::Ok);
+    EXPECT_TRUE(out.is_real() && out.d == 1.0);
 }
 
 TEST(VmFolding, ShortCircuitFoldsSkipUnknowns) {

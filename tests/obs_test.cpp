@@ -59,7 +59,7 @@ TEST(Histogram, BucketIndexAndBounds) {
     for (std::uint64_t v : {0ull, 1ull, 2ull, 7ull, 8ull, 100ull, 4095ull, 4096ull}) {
         const int i = go::Histogram::bucket_index(v);
         EXPECT_LE(v, go::Histogram::bucket_upper(i)) << v;
-        if (i > 0) EXPECT_GT(v, go::Histogram::bucket_upper(i - 1)) << v;
+        if (i > 0) { EXPECT_GT(v, go::Histogram::bucket_upper(i - 1)) << v; }
     }
 }
 
@@ -178,21 +178,25 @@ TEST(Registry, PrometheusExposition) {
               "gmdf_req_total{verb=\"run\"} 2\n");
 }
 
-TEST(Registry, CollectorsRunAtScrapeAndUnregister) {
+// A scrape publishes totals kept elsewhere into a throwaway registry; the
+// render merges it in sorted and typed, and the registry adopts nothing.
+TEST(Registry, ScopedRegistryMergesIntoTheSortedRender) {
     go::Registry reg;
-    int owner = 0;
-    std::atomic<int> runs{0};
-    reg.add_collector(&owner, [&](go::Registry& r) {
-        runs.fetch_add(1);
-        r.gauge("derived.value").set(runs.load());
-    });
-    (void)reg.text_dump();
-    (void)reg.prometheus_text();
-    EXPECT_EQ(runs.load(), 2);
-    EXPECT_EQ(reg.gauge("derived.value").value(), 2);
-    reg.remove_collector(&owner);
-    (void)reg.text_dump();
-    EXPECT_EQ(runs.load(), 2);
+    reg.counter("a.count").add(1);
+    reg.gauge("c.level").set(3);
+    go::Registry scoped;
+    go::set_metrics_enabled(false); // publishing a total is not gated
+    scoped.counter("b.total").set(7);
+    go::set_metrics_enabled(true);
+    scoped.gauge("d.live").set(2);
+    EXPECT_EQ(reg.text_dump({}, &scoped),
+              (std::vector<std::string>{"a.count 1", "b.total 7", "c.level 3", "d.live 2"}));
+    EXPECT_EQ(reg.prometheus_text(&scoped),
+              "# TYPE gmdf_a_count counter\ngmdf_a_count 1\n"
+              "# TYPE gmdf_b_total counter\ngmdf_b_total 7\n"
+              "# TYPE gmdf_c_level gauge\ngmdf_c_level 3\n"
+              "# TYPE gmdf_d_live gauge\ngmdf_d_live 2\n");
+    EXPECT_EQ(reg.metric_count(), 2u);
 }
 
 // The TSan target: concurrent find-or-create against the sharded map plus
@@ -303,6 +307,26 @@ TEST(MetricsVerb, DumpsSortedAndFiltersByPrefix) {
     auto bad = hub.execute_line("metrics a b");
     EXPECT_FALSE(bad.ok());
     EXPECT_EQ(bad.code, gp::ErrorCode::BadArgument);
+}
+
+// Two hubs in one process: each scrape shows only the scraped hub's own
+// totals, and a destroyed hub leaves nothing behind in the other's.
+TEST(MetricsVerb, EachHubScrapesOnlyItsOwnTotals) {
+    gh::HubController a;
+    ASSERT_NE(a.open("blinker", "a1"), nullptr);
+    {
+        gh::HubController b;
+        b.scheduler().set_threads(4);
+        for (int i = 0; i < 4; ++i)
+            ASSERT_NE(b.open("blinker", "b" + std::to_string(i)), nullptr);
+        ASSERT_TRUE(b.execute_line("run 100").ok());
+        EXPECT_EQ(a.execute_line("metrics hub.sessions.live").body,
+                  std::vector<std::string>{"hub.sessions.live 1"});
+        EXPECT_EQ(b.execute_line("metrics hub.sessions.live").body,
+                  std::vector<std::string>{"hub.sessions.live 4"});
+    }
+    EXPECT_EQ(a.execute_line("metrics hub.shard.slices").body,
+              std::vector<std::string>{"hub.shard.slices{shard=0} 0"});
 }
 
 // ---- GET /metrics over a live loopback server -------------------------------

@@ -16,7 +16,6 @@
 // wait for that line, then parse the port). SIGINT/SIGTERM drain and
 // exit 0.
 #include <arpa/inet.h>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -25,7 +24,6 @@
 
 #include "hub/controller.hpp"
 #include "net/server.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/scenarios.hpp"
 
@@ -40,7 +38,7 @@ int usage(std::ostream& out, int code) {
            "[--max-conn <n>] [--threads <n>]\n"
            "                  [--idle-timeout-ms <n>] [--accept-high-water <n>] "
            "[--watchdog-us <n>] [--watchdog-strikes <n>]\n"
-           "                  [--metrics-interval-ms <n>] [--trace-out <file>]\n\n"
+           "                  [--trace-out <file>]\n\n"
         << "Serves a GMDF debug hub over TCP (frame or line codec).\n"
         << "  --model <name>    built-in scenario of the seed session:";
     for (const std::string& name : gmdf::proto::scenario_names()) out << " " << name;
@@ -58,9 +56,6 @@ int usage(std::ostream& out, int code) {
         << "                    over it repeatedly is quarantined (default off)\n"
         << "  --watchdog-strikes <n>  consecutive overruns before quarantine\n"
         << "                    (default 3)\n"
-        << "  --metrics-interval-ms <n>  dump the obs metrics registry to stderr\n"
-        << "                    every <n> ms (default off; scrape GET /metrics on\n"
-        << "                    the same port for Prometheus exposition)\n"
         << "  --trace-out <file>  record obs spans (dispatch, pump slices per\n"
         << "                    shard, checkpoints) for the whole run; written as\n"
         << "                    Chrome trace-event JSON (Perfetto) on exit\n"
@@ -79,7 +74,6 @@ int main(int argc, char** argv) {
 
     std::string model = "blinker";
     int threads = 1;
-    int metrics_interval_ms = 0;
     std::string trace_out;
     gmdf::hub::WatchdogConfig watchdog;
     gmdf::net::ServerConfig config;
@@ -102,8 +96,6 @@ int main(int argc, char** argv) {
             watchdog.slice_limit_us = std::atoll(argv[++i]);
         } else if (arg == "--watchdog-strikes" && i + 1 < argc) {
             watchdog.max_strikes = std::atoi(argv[++i]);
-        } else if (arg == "--metrics-interval-ms" && i + 1 < argc) {
-            metrics_interval_ms = std::atoi(argv[++i]);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--threads" && i + 1 < argc) {
@@ -146,26 +138,7 @@ int main(int argc, char** argv) {
               << " (scenario '" << seed->name << "' hosted as session "
               << seed->id << ")" << std::endl;
 
-    if (metrics_interval_ms > 0) {
-        // Same serve loop as run(), plus a periodic registry dump to
-        // stderr — the no-network-tooling way to watch a long-running hub.
-        using clock = std::chrono::steady_clock;
-        const auto interval = std::chrono::milliseconds(metrics_interval_ms);
-        auto next_dump = clock::now() + interval;
-        while (!g_stop.load(std::memory_order_relaxed)) {
-            server.poll_once(20);
-            const auto now = clock::now();
-            if (now >= next_dump) {
-                std::cerr << "== metrics ==\n";
-                for (const std::string& line : gmdf::obs::registry().text_dump())
-                    std::cerr << line << "\n";
-                std::cerr.flush();
-                do next_dump += interval; while (next_dump <= now);
-            }
-        }
-    } else {
-        server.run(g_stop);
-    }
+    server.run(g_stop);
 
     if (!trace_out.empty()) {
         gmdf::obs::tracer().stop();

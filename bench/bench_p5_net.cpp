@@ -1,11 +1,11 @@
 // P5 — the network debug service under load: an in-process net::Server
-// (the same poll loop gmdf_serve runs) against a non-blocking loopback
-// load generator at rising connection counts. Reports sustained
+// (the same epoll event loop gmdf_serve runs) against a non-blocking
+// loopback load generator at rising connection counts. Reports sustained
 // requests/sec and p50/p99 request latency per level; writes
 // BENCH_p5_net.json (CI smoke step).
 //
 // The generator keeps every connection's next request in flight the
-// moment the previous one completes, so the server-side poll loop is
+// moment the previous one completes, so the server-side event loop is
 // the bottleneck being measured: accept fairness, frame reassembly,
 // per-connection routing contexts, and the write path. Levels scale
 // from 100 to ~10k concurrent connections (bounded by RLIMIT_NOFILE —

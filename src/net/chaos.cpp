@@ -1,48 +1,14 @@
 #include "net/chaos.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 namespace gmdf::net {
 
 namespace {
-
-bool set_nonblocking(int fd) {
-    int flags = fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void set_nodelay(int fd) {
-    int one = 1;
-    (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// Blocking dial of the upstream server; -1 on failure. The upstream is
-/// local and live in every intended deployment (tests, campaigns,
-/// benches), so a blocking connect completes immediately.
-int dial_upstream(const std::string& host, std::uint16_t port) {
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    set_nodelay(fd);
-    return fd;
-}
 
 /// Fire-and-forget delivery of a torn prefix right before a cut; the
 /// kernel buffer takes a half frame without blocking.
@@ -65,82 +31,42 @@ ChaosProxy::ChaosProxy(ChaosConfig config)
 ChaosProxy::~ChaosProxy() { stop(); }
 
 bool ChaosProxy::start(std::string* error) {
-    auto fail = [&](const std::string& what) {
-        if (error != nullptr) *error = what + ": " + std::strerror(errno);
-        if (listen_fd_ >= 0) {
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-        }
-        return false;
-    };
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return fail("socket");
-    int one = 1;
-    (void)setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config_.listen_port);
-    if (inet_pton(AF_INET, config_.listen_host.c_str(), &addr.sin_addr) != 1) {
-        errno = EINVAL;
-        return fail("inet_pton " + config_.listen_host);
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-        return fail("bind " + config_.listen_host + ":" +
-                    std::to_string(config_.listen_port));
-    if (::listen(listen_fd_, 256) != 0) return fail("listen");
-    if (!set_nonblocking(listen_fd_)) return fail("fcntl");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-        return fail("getsockname");
-    port_ = ntohs(addr.sin_port);
-    return true;
+    return loop_.listen(config_.listen_host, config_.listen_port, error);
 }
 
 void ChaosProxy::stop() {
     for (auto& pair : pairs_) close_pair(*pair);
     pairs_.clear();
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
+    loop_.close();
 }
 
-void ChaosProxy::accept_pending() {
-    while (true) {
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            return; // EAGAIN or a transient error: next cycle
-        }
-        int upstream = dial_upstream(config_.upstream_host, config_.upstream_port);
-        if (upstream < 0) {
-            ::close(fd);
-            continue;
-        }
-        set_nodelay(fd);
-        (void)set_nonblocking(fd);
-        (void)set_nonblocking(upstream);
-        auto pair = std::make_unique<Pair>();
-        pair->client_fd = fd;
-        pair->server_fd = upstream;
-        pairs_.push_back(std::move(pair));
-        ++stats_.connections;
+void ChaosProxy::accept_pair(int fd) {
+    // Blocking: the upstream is local and live wherever the proxy runs.
+    const int upstream = dial_tcp(config_.upstream_host, config_.upstream_port);
+    if (upstream < 0) {
+        ::close(fd);
+        return;
     }
+    auto pair = std::make_unique<Pair>(fd, upstream);
+    if (!loop_.add(fd, &pair->client) || !loop_.add(upstream, &pair->server)) {
+        close_pair(*pair);
+        return;
+    }
+    pairs_.push_back(std::move(pair));
+    ++stats_.connections;
 }
 
 void ChaosProxy::close_pair(Pair& pair) {
-    if (pair.client_fd >= 0) ::close(pair.client_fd);
-    if (pair.server_fd >= 0) ::close(pair.server_fd);
-    pair.client_fd = -1;
-    pair.server_fd = -1;
+    for (End* end : {&pair.client, &pair.server}) {
+        if (end->fd >= 0) ::close(end->fd);
+        end->fd = -1;
+    }
 }
 
-bool ChaosProxy::inject(Pair& pair, bool from_client, std::string chunk) {
-    Direction& dir = from_client ? pair.to_server : pair.to_client;
-    const int out_fd = from_client ? pair.server_fd : pair.client_fd;
+void ChaosProxy::inject(End& from, std::string chunk) {
+    Pair& pair = *from.pair;
+    const bool from_client = &from == &pair.client;
+    End& to = from_client ? pair.server : pair.client;
     ++stats_.chunks;
 
     // Deterministic cut knob: tear the Nth client→server chunk in half
@@ -149,162 +75,109 @@ bool ChaosProxy::inject(Pair& pair, bool from_client, std::string chunk) {
         ++pair.chunks_from_client >= config_.disconnect_after_chunks) {
         cut_fired_ = true;
         ++stats_.torn;
-        send_best_effort(out_fd, std::string_view(chunk).substr(0, chunk.size() / 2));
+        send_best_effort(to.fd, std::string_view(chunk).substr(0, chunk.size() / 2));
         close_pair(pair);
-        return false;
+        return;
     }
 
     if (config_.fault_rate > 0) {
         std::uniform_real_distribution<double> coin(0.0, 1.0);
         if (coin(rng_) < config_.fault_rate) {
-            char kinds[4];
-            int n = 0;
-            if (config_.tear) kinds[n++] = 't';
-            if (config_.stall) kinds[n++] = 's';
-            if (config_.disconnect) kinds[n++] = 'd';
-            if (config_.corrupt) kinds[n++] = 'c';
-            if (n > 0) {
-                std::uniform_int_distribution<int> pick(0, n - 1);
-                switch (kinds[pick(rng_)]) {
-                case 't': {
-                    ++stats_.torn;
-                    send_best_effort(out_fd, std::string_view(chunk)
-                                                 .substr(0, chunk.size() / 2));
-                    close_pair(pair);
-                    return false;
-                }
-                case 's': {
-                    ++stats_.stalls;
-                    dir.hold_until = std::chrono::steady_clock::now() +
-                                     std::chrono::milliseconds(config_.stall_ms);
-                    break; // parked; falls through to the append below
-                }
-                case 'd': {
-                    ++stats_.disconnects;
-                    close_pair(pair);
-                    return false;
-                }
-                case 'c': {
-                    ++stats_.corruptions;
-                    std::uniform_int_distribution<std::size_t> at(0, chunk.size() - 1);
-                    std::size_t i = at(rng_);
-                    chunk[i] = static_cast<char>(~chunk[i]);
-                    break;
-                }
-                default: break;
-                }
+            std::uniform_int_distribution<int> pick(0, 3);
+            switch (pick(rng_)) {
+            case 0: // tear
+                ++stats_.torn;
+                send_best_effort(to.fd,
+                                 std::string_view(chunk).substr(0, chunk.size() / 2));
+                close_pair(pair);
+                return;
+            case 1: // stall: parked, then queued below
+                ++stats_.stalls;
+                to.hold_until = std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(config_.stall_ms);
+                break;
+            case 2: // disconnect
+                ++stats_.disconnects;
+                close_pair(pair);
+                return;
+            default: { // corrupt
+                ++stats_.corruptions;
+                std::uniform_int_distribution<std::size_t> at(0, chunk.size() - 1);
+                std::size_t i = at(rng_);
+                chunk[i] = static_cast<char>(~chunk[i]);
+                break;
+            }
             }
         }
     }
 
-    dir.outbuf.append(chunk);
-    flush(pair, dir, out_fd);
-    return true;
+    to.outbuf.append(chunk);
+    flush(to);
 }
 
-bool ChaosProxy::shuttle(Pair& pair, bool from_client) {
-    const int in_fd = from_client ? pair.client_fd : pair.server_fd;
+void ChaosProxy::shuttle(End& from) {
+    Pair& pair = *from.pair;
     char chunk[16384];
-    ssize_t n = ::recv(in_fd, chunk, sizeof(chunk), 0);
-    if (n > 0)
-        return inject(pair, from_client, std::string(chunk, static_cast<std::size_t>(n)));
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
-        return true;
-    // EOF or a hard error: deliver what is already queued, then close.
-    pair.draining = true;
-    pair.to_server.hold_until = {};
-    pair.to_client.hold_until = {};
-    return true;
-}
-
-void ChaosProxy::flush(Pair& pair, Direction& dir, int fd) {
-    if (fd < 0 || !dir.pending()) return;
-    if (dir.hold_until != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() < dir.hold_until)
-        return;
-    dir.hold_until = {};
-    while (dir.pending()) {
-        ssize_t n = ::send(fd, dir.outbuf.data() + dir.pos, dir.outbuf.size() - dir.pos,
-                           MSG_NOSIGNAL);
+    while (!pair.draining && from.fd >= 0) {
+        ssize_t n = ::recv(from.fd, chunk, sizeof(chunk), 0);
         if (n > 0) {
-            dir.pos += static_cast<std::size_t>(n);
+            inject(from, std::string(chunk, static_cast<std::size_t>(n)));
             continue;
         }
         if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-        close_pair(pair); // the other end vanished mid-flush
+        // EOF or a hard error: deliver what is already queued, then close.
+        pair.draining = true;
+        pair.client.hold_until = {};
+        pair.server.hold_until = {};
+    }
+}
+
+void ChaosProxy::flush(End& to) {
+    if (to.fd < 0 || !to.pending()) return;
+    if (std::chrono::steady_clock::now() < to.hold_until) {
+        next_release_ = std::min(next_release_, to.hold_until);
         return;
     }
-    dir.outbuf.clear();
-    dir.pos = 0;
+    while (to.pending()) {
+        ssize_t n = ::send(to.fd, to.outbuf.data() + to.pos, to.outbuf.size() - to.pos,
+                           MSG_NOSIGNAL);
+        if (n > 0) {
+            to.pos += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+        close_pair(*to.pair); // the other end vanished mid-flush
+        return;
+    }
+    to.outbuf.clear();
+    to.pos = 0;
 }
 
 int ChaosProxy::poll_once(int timeout_ms) {
-    if (listen_fd_ < 0) return -1;
+    using namespace std::chrono;
+    // Wake in time for the next stall release instead of on readiness.
+    const long long release_ms =
+        duration_cast<milliseconds>(next_release_ - steady_clock::now()).count() + 1;
+    if (release_ms < timeout_ms) timeout_ms = static_cast<int>(std::max(release_ms, 0LL));
 
-    const auto now = std::chrono::steady_clock::now();
-    // accept_pending() below can append to pairs_; fds only covers the
-    // pairs that existed when it was built.
-    const std::size_t polled_pairs = pairs_.size();
-    std::vector<pollfd> fds;
-    fds.reserve(polled_pairs * 2 + 1);
-    fds.push_back({listen_fd_, POLLIN, 0});
-    for (const auto& pair : pairs_) {
-        auto dir_events = [&](const Direction& dir) -> short {
-            if (!dir.pending()) return 0;
-            if (dir.hold_until != std::chrono::steady_clock::time_point{} &&
-                now < dir.hold_until) {
-                // Wake in time for the release instead of on POLLOUT.
-                long long wait_ms =
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        dir.hold_until - now)
-                        .count() +
-                    1;
-                if (wait_ms < timeout_ms) timeout_ms = static_cast<int>(wait_ms);
-                return 0;
-            }
-            return POLLOUT;
-        };
-        short client_events = pair->draining ? 0 : POLLIN;
-        short server_events = pair->draining ? 0 : POLLIN;
-        client_events |= dir_events(pair->to_client);
-        server_events |= dir_events(pair->to_server);
-        fds.push_back({pair->client_fd, client_events, 0});
-        fds.push_back({pair->server_fd, server_events, 0});
-    }
-
-    int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (ready < 0) return errno == EINTR ? 0 : -1;
-
-    if (ready > 0) {
-        if ((fds[0].revents & POLLIN) != 0) accept_pending();
-        for (std::size_t i = 0; i < polled_pairs; ++i) {
-            Pair& pair = *pairs_[i];
-            const pollfd& client = fds[1 + i * 2];
-            const pollfd& server = fds[2 + i * 2];
-            if (pair.client_fd >= 0 &&
-                (client.revents & (POLLIN | POLLERR | POLLHUP)) != 0)
-                (void)shuttle(pair, /*from_client=*/true);
-            if (pair.client_fd >= 0 &&
-                (server.revents & (POLLIN | POLLERR | POLLHUP)) != 0)
-                (void)shuttle(pair, /*from_client=*/false);
-        }
-    }
+    const int ready = loop_.wait(
+        timeout_ms, [this](int fd) { accept_pair(fd); },
+        [this](void* tag, bool) { shuttle(*static_cast<End*>(tag)); });
+    if (ready < 0) return -1;
 
     // Flush both directions every cycle: stalled chunks release on the
     // clock, not on socket readiness.
+    next_release_ = steady_clock::time_point::max();
     for (auto& pair : pairs_) {
-        if (pair->client_fd < 0) continue;
-        flush(*pair, pair->to_server, pair->server_fd);
-        if (pair->client_fd < 0) continue;
-        flush(*pair, pair->to_client, pair->client_fd);
-        if (pair->client_fd >= 0 && pair->draining && !pair->to_server.pending() &&
-            !pair->to_client.pending())
+        flush(pair->server);
+        flush(pair->client);
+        if (pair->client.fd >= 0 && pair->draining && !pair->server.pending() &&
+            !pair->client.pending())
             close_pair(*pair);
     }
-    std::erase_if(pairs_, [](const std::unique_ptr<Pair>& p) {
-        return p->client_fd < 0;
-    });
+    std::erase_if(pairs_, [](const std::unique_ptr<Pair>& p) { return p->client.fd < 0; });
     return ready;
 }
 

@@ -1,7 +1,7 @@
 // net::ChaosProxy — a deterministic network-fault injector for the
 // debug service.
 //
-// A single-threaded poll(2) TCP proxy that sits between net::Channel
+// A single-threaded epoll TCP proxy that sits between net::Channel
 // clients and a net::Server, forwarding bytes in both directions while
 // injecting faults drawn from a seeded PRNG: torn frames (a prefix of a
 // chunk is delivered, then the connection is cut), stalls (a chunk is
@@ -10,10 +10,11 @@
 // (one byte flipped, then forwarded — the codec's length/type guards
 // turn this into a structured protocol error downstream).
 //
-// Faults are decided per forwarded chunk with probability fault_rate;
-// the whole schedule is a pure function of (seed, traffic), so a chaos
-// run that found a weakness replays it. For tests that need a cut at an
-// exact protocol position rather than a seeded one, the
+// Each forwarded chunk (one read of at most 16 KiB) draws a fault with
+// probability fault_rate, its kind uniform over all four; the whole
+// schedule is a pure function of (seed, traffic), so a chaos run that
+// found a weakness replays it. For tests that need a cut at an exact
+// protocol position rather than a seeded one, the
 // disconnect_after_chunks knob tears the Nth client→server chunk in
 // half and cuts — once per proxy, so the client's reconnect succeeds.
 //
@@ -29,6 +30,8 @@
 #include <random>
 #include <string>
 #include <vector>
+
+#include "net/loop.hpp"
 
 namespace gmdf::net {
 
@@ -46,11 +49,6 @@ struct ChaosConfig {
     /// close the pair (0 disables). Fires once per proxy lifetime so
     /// the reconnected client gets a clean second run.
     int disconnect_after_chunks = 0;
-    /// Which seeded fault kinds the injector may draw.
-    bool tear = true;
-    bool stall = true;
-    bool disconnect = true;
-    bool corrupt = true;
 };
 
 struct ChaosStats {
@@ -77,11 +75,11 @@ public:
     void stop();
 
     /// The bound port (after start()).
-    [[nodiscard]] std::uint16_t port() const { return port_; }
+    [[nodiscard]] std::uint16_t port() const { return loop_.port(); }
 
-    /// One poll cycle: accept, shuttle, inject, flush. Returns the
-    /// number of fds with activity; blocks at most timeout_ms (less
-    /// when a stalled chunk's release is due sooner).
+    /// One loop cycle: accept, shuttle, inject, flush. Returns the
+    /// number of ready fds; blocks at most timeout_ms (less when a
+    /// stalled chunk's release is due sooner).
     int poll_once(int timeout_ms);
 
     /// Loops poll_once until `stop_flag` goes true. The short default
@@ -92,41 +90,50 @@ public:
     [[nodiscard]] std::size_t active_pairs() const { return pairs_.size(); }
 
 private:
-    /// One forwarding direction of a proxied pair.
-    struct Direction {
+    struct Pair;
+
+    /// One socket of a proxied pair, and the bytes queued to it. Its
+    /// readiness is reported under its own address.
+    struct End {
+        End(Pair* owner, int socket) : pair(owner), fd(socket) {}
+        Pair* pair;
+        int fd;
         std::string outbuf;
         std::size_t pos = 0;
-        /// Nonzero epoch: the buffer is parked until this instant.
+        /// The buffer is parked until this instant (a past one parks nothing).
         std::chrono::steady_clock::time_point hold_until{};
         [[nodiscard]] bool pending() const { return pos < outbuf.size(); }
     };
 
     /// A client connection and its private upstream dial.
     struct Pair {
-        int client_fd = -1;
-        int server_fd = -1;
-        Direction to_server; ///< client → server bytes
-        Direction to_client; ///< server → client bytes
+        Pair(int client_fd, int server_fd)
+            : client(this, client_fd), server(this, server_fd) {}
+        End client; ///< the accepted socket; queues server → client bytes
+        End server; ///< the upstream dial; queues client → server bytes
         bool draining = false; ///< one side EOFed: flush, then close both
         int chunks_from_client = 0;
     };
 
-    void accept_pending();
-    /// Reads one chunk from `from_client ? client : server` and routes
-    /// it through the fault injector. False: the pair must close now.
-    bool shuttle(Pair& pair, bool from_client);
-    /// Applies at most one fault to `chunk` and queues/flushes it.
-    /// False: the fault cut the pair.
-    bool inject(Pair& pair, bool from_client, std::string chunk);
-    void flush(Pair& pair, Direction& dir, int fd);
+    void accept_pair(int fd);
+    /// Reads `from` until EAGAIN (its readiness is edge-triggered), EOF
+    /// or a cut, routing each chunk through the fault injector.
+    void shuttle(End& from);
+    /// Applies at most one fault to a chunk read from `from`, then
+    /// queues and flushes it to the pair's other end (unless it cut the
+    /// pair).
+    void inject(End& from, std::string chunk);
+    void flush(End& to);
     void close_pair(Pair& pair);
 
     ChaosConfig config_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
+    EventLoop loop_;
     std::vector<std::unique_ptr<Pair>> pairs_;
     std::mt19937 rng_;
     bool cut_fired_ = false; ///< disconnect_after_chunks is one-shot
+    /// The earliest parked buffer's release, tracked by flush().
+    std::chrono::steady_clock::time_point next_release_ =
+        std::chrono::steady_clock::time_point::max();
     ChaosStats stats_;
 };
 

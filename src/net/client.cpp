@@ -1,8 +1,5 @@
 #include "net/client.hpp"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,49 +8,15 @@
 #include <cstring>
 #include <thread>
 
+#include "net/loop.hpp"
 #include "proto/message.hpp"
 
 namespace gmdf::net {
 
 namespace {
 
-void set_nodelay(int fd) {
-    int one = 1;
-    (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 void set_error(std::string* error, std::string what) {
     if (error != nullptr) *error = std::move(what);
-}
-
-/// Resolves and dials host:port; -1 with errno-flavoured *error on
-/// failure. Shared by the first connect and every redial.
-int dial(const std::string& host, std::uint16_t port, std::string* error) {
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &res);
-    if (rc != 0) {
-        set_error(error, "resolve " + host + ": " + gai_strerror(rc));
-        return -1;
-    }
-    int fd = -1;
-    for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC, ai->ai_protocol);
-        if (fd < 0) continue;
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) {
-        set_error(error, "connect " + host + ":" + std::to_string(port) + ": " +
-                             std::strerror(errno));
-        return -1;
-    }
-    set_nodelay(fd);
-    return fd;
 }
 
 } // namespace
@@ -76,34 +39,37 @@ bool split_host_port(std::string_view spec, std::string& host, std::uint16_t& po
 
 std::unique_ptr<Channel> Channel::connect(const std::string& host, std::uint16_t port,
                                           std::string* error) {
-    int fd = dial(host, port, error);
+    int fd = dial_tcp(host, port, error);
     if (fd < 0) return nullptr;
 
     std::unique_ptr<Channel> channel(new Channel(fd));
     channel->host_ = host;
     channel->port_ = port;
-    std::string handshake(kMagic);
-    handshake += encode_frame(FrameType::Hello, hello_payload());
-    if (!channel->send_all(handshake)) {
+    if (!channel->handshake(error)) return nullptr;
+    return channel;
+}
+
+bool Channel::handshake(std::string* error) {
+    std::string hello(kMagic);
+    hello += encode_frame(FrameType::Hello, hello_payload());
+    if (!send_all(hello)) {
         set_error(error, "handshake send failed: " + std::string(std::strerror(errno)));
-        return nullptr;
+        return false;
     }
     Frame reply;
     std::string read_error;
-    if (!channel->read_frame(reply, &read_error)) {
+    if (!read_frame(reply, &read_error)) {
         set_error(error, "handshake: " + read_error);
-        return nullptr;
-    }
-    if (reply.type == FrameType::Error) {
-        set_error(error, "server refused: " + reply.payload);
-        return nullptr;
+        return false;
     }
     if (reply.type != FrameType::Hello ||
         parse_hello(reply.payload) != kProtocolVersion) {
-        set_error(error, "unexpected handshake reply");
-        return nullptr;
+        shutdown(); // includes a busy Error frame: the server shed us
+        set_error(error, reply.type == FrameType::Error ? "server refused: " + reply.payload
+                                                         : "unexpected handshake reply");
+        return false;
     }
-    return channel;
+    return true;
 }
 
 Channel::~Channel() { shutdown(); }
@@ -212,21 +178,10 @@ void Channel::note_session(const proto::Response& resp) {
 
 bool Channel::reconnect_once() {
     shutdown();
-    frames_ = FrameReader{1 << 20}; // a torn frame must not poison the redial
+    frames_ = FrameReader{}; // a torn frame must not poison the redial
     last_done_ = true;
-    int fd = dial(host_, port_, nullptr);
-    if (fd < 0) return false;
-    fd_ = fd;
-    std::string handshake(kMagic);
-    handshake += encode_frame(FrameType::Hello, hello_payload());
-    if (!send_all(handshake)) return false;
-    Frame reply;
-    if (!read_frame(reply, nullptr)) return false;
-    if (reply.type != FrameType::Hello ||
-        parse_hello(reply.payload) != kProtocolVersion) {
-        shutdown(); // includes a busy Error frame: the server shed us
-        return false;
-    }
+    fd_ = dial_tcp(host_, port_);
+    if (fd_ < 0 || !handshake(nullptr)) return false;
     // Resume where the old connection was: a fresh server context starts
     // on the hub's root session, not ours.
     if (!session_.empty()) {

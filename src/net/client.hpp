@@ -99,6 +99,9 @@ public:
 private:
     explicit Channel(int fd) : fd_(fd) {}
 
+    /// Magic + hello out, hello echo back. False leaves fd_ closed, with
+    /// the reason in *error when provided.
+    bool handshake(std::string* error);
     bool send_all(std::string_view bytes);
     /// Reads until a frame arrives; false on EOF/error.
     bool read_frame(Frame& out, std::string* error);
@@ -118,7 +121,7 @@ private:
     int fd_ = -1;
     std::string host_;
     std::uint16_t port_ = 0;
-    FrameReader frames_{1 << 20};
+    FrameReader frames_;
     std::deque<std::string> events_; ///< buffered event lines
     bool last_done_ = true; ///< done marker for the last request consumed
     bool reconnect_enabled_ = false;

@@ -24,7 +24,7 @@
 //   'X' error     protocol violation; the sender closes after it
 //
 // Both decoders are incremental: bytes arrive in arbitrary slices
-// across poll(2) wakeups, so a torn line/frame simply waits for more
+// across event-loop wakeups, so a torn line/frame simply waits for more
 // input, while an oversized one is a structured, connection-fatal
 // error — never a crash, never a corrupted stream.
 #pragma once
@@ -40,6 +40,10 @@ namespace gmdf::net {
 inline constexpr std::string_view kMagic = "GMDF";
 inline constexpr int kProtocolVersion = 1;
 inline constexpr std::string_view kHelloPrefix = "gmdf-net ";
+
+/// Input limits: frame payload, and line (or HTTP request head) length.
+inline constexpr std::size_t kMaxFramePayload = 1 << 20;
+inline constexpr std::size_t kMaxLine = 16 * 1024;
 
 /// Frame type bytes (payload[0]).
 enum class FrameType : char {
@@ -75,7 +79,7 @@ class FrameReader {
 public:
     enum class Status { NeedMore, Ready, Error };
 
-    explicit FrameReader(std::size_t max_payload = 1 << 20)
+    explicit FrameReader(std::size_t max_payload = kMaxFramePayload)
         : max_payload_(max_payload) {}
 
     void feed(std::string_view bytes);
@@ -104,7 +108,7 @@ class LineReader {
 public:
     enum class Status { NeedMore, Ready, Error };
 
-    explicit LineReader(std::size_t max_line = 16 * 1024) : max_line_(max_line) {}
+    explicit LineReader(std::size_t max_line = kMaxLine) : max_line_(max_line) {}
 
     void feed(std::string_view bytes);
     Status next(std::string& out);

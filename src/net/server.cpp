@@ -1,16 +1,9 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 #include "proto/message.hpp"
 
@@ -26,16 +19,6 @@ std::string_view trim_view(std::string_view s) {
     return s;
 }
 
-bool set_nonblocking(int fd) {
-    int flags = fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void set_nodelay(int fd) {
-    int one = 1;
-    (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 /// HTTP detection magic: like kMagic, exactly 4 bytes, so the Detect
 /// buffer decides among frame / HTTP / line at the same prefix length.
 constexpr std::string_view kHttpGet = "GET ";
@@ -48,37 +31,7 @@ Server::Server(hub::HubController& hub, ServerConfig config)
 Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
-    auto fail = [&](const std::string& what) {
-        if (error != nullptr) *error = what + ": " + std::strerror(errno);
-        if (listen_fd_ >= 0) {
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-        }
-        return false;
-    };
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return fail("socket");
-    int one = 1;
-    (void)setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config_.port);
-    if (inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-        errno = EINVAL;
-        return fail("inet_pton " + config_.host);
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-        return fail("bind " + config_.host + ":" + std::to_string(config_.port));
-    if (::listen(listen_fd_, 1024) != 0) return fail("listen");
-    if (!set_nonblocking(listen_fd_)) return fail("fcntl");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-        return fail("getsockname");
-    port_ = ntohs(addr.sin_port);
-
+    if (!loop_.listen(config_.host, config_.port, error)) return false;
     hub_.set_event_sink([this](int session_id, std::string_view session_name,
                                const std::string& line) {
         fan_out_event(session_id, session_name, line);
@@ -91,90 +44,52 @@ bool Server::start(std::string* error) {
 }
 
 void Server::stop() {
-    while (!connections_.empty()) close_connection(connections_.size() - 1);
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
+    for (auto& conn : connections_) close_connection(*conn);
+    connections_.clear();
+    if (loop_.listening()) {
+        loop_.close();
         hub_.set_event_sink(nullptr);
         hub_.set_net_stats_provider({});
     }
 }
 
 int Server::poll_once(int timeout_ms) {
-    if (listen_fd_ < 0) return -1;
-
-    std::vector<pollfd> fds;
-    fds.reserve(connections_.size() + 1);
-    fds.push_back({listen_fd_, POLLIN, 0});
-    for (const auto& conn : connections_) {
-        short events = 0;
-        if (!conn->draining) events |= POLLIN;
-        if (conn->out_pos < conn->outbuf.size()) events |= POLLOUT;
-        fds.push_back({conn->fd, events, 0});
-    }
-
-    int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    // EINTR is a signal, not a failure: report an idle cycle and let the
-    // caller's loop (gmdf_serve's run()) decide whether to keep going.
-    if (ready < 0) return errno == EINTR ? 0 : -1;
-
-    std::vector<std::size_t> dead;
-    if (ready > 0) {
-        if ((fds[0].revents & POLLIN) != 0) accept_pending();
-
-        // Connections may be appended by accept_pending(); only the
-        // first fds.size()-1 existed when poll() sampled, and indices
-        // line up because closes are deferred to the sweep below.
-        for (std::size_t i = 1; i < fds.size(); ++i) {
-            Connection& conn = *connections_[i - 1];
-            short re = fds[i].revents;
-            if (re == 0) continue;
-            if ((re & (POLLERR | POLLNVAL)) != 0) {
-                dead.push_back(i - 1);
-                continue;
-            }
-            if ((re & POLLIN) != 0 && !read_connection(conn)) {
-                dead.push_back(i - 1);
-                continue;
-            }
-            if ((re & POLLHUP) != 0 && conn.out_pos >= conn.outbuf.size()) {
-                dead.push_back(i - 1);
-                continue;
-            }
-        }
-    }
+    const int ready = loop_.wait(
+        timeout_ms, [this](int fd) { accept_connection(fd); },
+        [this](void* tag, bool failed) {
+            // A draining connection reads no more; its flush decides.
+            Connection& conn = *static_cast<Connection*>(tag);
+            if (failed || (!conn.draining && !read_connection(conn))) conn.closing = true;
+        });
+    if (ready < 0) return -1;
 
     // Idle sweep: runs on quiet cycles too — an abandoned connection
     // with no traffic at all must still age out.
     if (config_.idle_timeout_ms > 0) {
         const auto now = std::chrono::steady_clock::now();
         const auto limit = std::chrono::milliseconds(config_.idle_timeout_ms);
-        for (std::size_t i = 0; i < connections_.size(); ++i) {
-            Connection& conn = *connections_[i];
-            if (conn.fd < 0 || conn.draining) continue;
-            if (now - conn.last_activity >= limit) {
-                ++stats_.idle_closed;
-                dead.push_back(i);
-            }
+        for (auto& conn : connections_) {
+            if (conn->closing || conn->draining || now - conn->last_activity < limit)
+                continue;
+            ++stats_.idle_closed;
+            conn->closing = true;
         }
     }
 
     // Resume paused fan-out where the pipe has drained, then push
-    // whatever is writable without waiting for the next POLLOUT.
-    for (std::size_t i = 0; i < connections_.size(); ++i) {
-        Connection& conn = *connections_[i];
-        if (conn.fd < 0) continue;
-        flush_pending_events(conn);
-        if (conn.out_pos < conn.outbuf.size() && !write_connection(conn))
-            dead.push_back(i);
-        else if (conn.draining && conn.out_pos >= conn.outbuf.size())
-            dead.push_back(i);
+    // whatever is writable without waiting for the next write edge.
+    for (auto& conn : connections_) {
+        flush_pending_events(*conn);
+        if (!write_connection(*conn) ||
+            (conn->draining && conn->out_pos >= conn->outbuf.size()))
+            conn->closing = true;
     }
 
-    // Close in descending index order so earlier indices stay valid.
-    std::sort(dead.begin(), dead.end());
-    dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
-    for (std::size_t k = dead.size(); k-- > 0;) close_connection(dead[k]);
+    // Close, then erase: a close releases the client's hub context, and
+    // the events that raises fan out over connections_.
+    for (auto& conn : connections_)
+        if (conn->closing) close_connection(*conn);
+    std::erase_if(connections_, [](const auto& conn) { return conn->closing; });
     return ready;
 }
 
@@ -182,42 +97,33 @@ void Server::run(const std::atomic<bool>& stop_flag, int timeout_ms) {
     while (!stop_flag.load(std::memory_order_relaxed)) poll_once(timeout_ms);
 }
 
-void Server::accept_pending() {
-    while (true) {
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-            return; // transient (ECONNABORTED, EMFILE, ...): retry next cycle
-        }
-        if (static_cast<int>(connections_.size()) >= config_.max_connections) {
-            ++stats_.refused;
-            ::close(fd);
-            continue;
-        }
-        if (!set_nonblocking(fd)) {
-            ::close(fd);
-            continue;
-        }
-        set_nodelay(fd);
-        auto conn =
-            std::make_unique<Connection>(config_.max_frame_payload, config_.max_line);
-        conn->fd = fd;
-        conn->id = next_conn_id_++;
-        conn->last_activity = std::chrono::steady_clock::now();
-        // A fresh client starts on the same session the hub's own REPL
-        // would: the seed (root) current.
-        conn->ctx.current = hub_.root_context().current;
-        // Over the high-water mark the client is still owed a structured
-        // "busy" — which needs its codec, so the shed reply waits for
-        // the first bytes (magic or a line) before drain+close.
-        if (config_.accept_high_water > 0 &&
-            static_cast<int>(connections_.size()) >= config_.accept_high_water) {
-            conn->shed = true;
-            ++stats_.busy_shed;
-        }
-        connections_.push_back(std::move(conn));
-        ++stats_.accepted;
+void Server::accept_connection(int fd) {
+    if (static_cast<int>(connections_.size()) >= config_.max_connections) {
+        ++stats_.refused;
+        ::close(fd);
+        return;
     }
+    auto conn = std::make_unique<Connection>();
+    if (!loop_.add(fd, conn.get())) {
+        ::close(fd);
+        return;
+    }
+    conn->fd = fd;
+    conn->id = next_conn_id_++;
+    conn->last_activity = std::chrono::steady_clock::now();
+    // A fresh client starts on the same session the hub's own REPL
+    // would: the seed (root) current.
+    conn->ctx.current = hub_.root_context().current;
+    // Over the high-water mark the client is still owed a structured
+    // "busy" — which needs its codec, so the shed reply waits for
+    // the first bytes (magic or a line) before drain+close.
+    if (config_.accept_high_water > 0 &&
+        static_cast<int>(connections_.size()) >= config_.accept_high_water) {
+        conn->shed = true;
+        ++stats_.busy_shed;
+    }
+    connections_.push_back(std::move(conn));
+    ++stats_.accepted;
 }
 
 bool Server::read_connection(Connection& conn) {
@@ -351,7 +257,7 @@ bool Server::process_http(Connection& conn) {
     std::size_t header_end = buf.find("\r\n\r\n");
     if (header_end == std::string::npos) header_end = buf.find("\n\n");
     if (header_end == std::string::npos) {
-        if (buf.size() > config_.max_line) {
+        if (buf.size() > kMaxLine) {
             protocol_error(conn, "oversized http request");
             return false;
         }
@@ -415,7 +321,13 @@ void Server::send_response(Connection& conn, const std::string& formatted) {
 void Server::fan_out_event(int session_id, std::string_view session_name,
                            const std::string& line) {
     for (auto& conn : connections_) {
-        if (conn->fd < 0 || conn->draining) continue;
+        // Only a session codec carries events: queued to a connection
+        // still detecting its codec, to a frame client before its hello
+        // echo or to an HTTP scrape, they would precede the awaited reply.
+        const bool session_codec =
+            conn->mode == Connection::Mode::Line ||
+            (conn->mode == Connection::Mode::Frame && conn->hello_done);
+        if (!session_codec || conn->fd < 0 || conn->draining) continue;
         if (!conn->ctx.allows(session_id, session_name)) continue;
         if (config_.event_queue_capacity != 0 &&
             conn->pending_events.size() >= config_.event_queue_capacity) {
@@ -509,19 +421,14 @@ void Server::protocol_error(Connection& conn, const std::string& message) {
     conn.draining = true; // flush the diagnosis, then close
 }
 
-void Server::close_connection(std::size_t index) {
-    Connection& conn = *connections_[index];
-    if (conn.fd >= 0) {
-        // One last best-effort flush so `quit` responses reach the
-        // client even when the close happens outside the write path.
-        (void)write_connection(conn);
-        ::close(conn.fd);
-        conn.fd = -1;
-    }
+void Server::close_connection(Connection& conn) {
+    // One last best-effort flush so `quit` responses reach the client
+    // even when the close happens outside the write path.
+    (void)write_connection(conn);
+    ::close(conn.fd);
+    conn.fd = -1;
     hub_.release_context(conn.ctx);
     ++stats_.closed;
-    connections_.erase(connections_.begin() +
-                       static_cast<std::ptrdiff_t>(index));
 }
 
 void Server::publish_metrics(obs::Registry& reg) const {
@@ -547,7 +454,7 @@ void Server::publish_metrics(obs::Registry& reg) const {
 
 std::vector<std::string> Server::stats_lines() const {
     std::vector<std::string> body = {
-        "net-listening " + config_.host + ":" + std::to_string(port_),
+        "net-listening " + config_.host + ":" + std::to_string(port()),
         "net-connections active " + std::to_string(connections_.size()) +
             " (accepted " + std::to_string(stats_.accepted) + ", closed " +
             std::to_string(stats_.closed) + ", refused " +

@@ -1,11 +1,11 @@
 // net::Server — the hub behind a real TCP listener.
 //
-// A single-threaded, non-blocking poll(2) event loop accepts N
+// A single-threaded net::EventLoop (epoll, loop.hpp) accepts N
 // concurrent client connections and serves each one the same
 // line-oriented protocol the in-process drivers speak, through a
 // hub::HubController. Each connection owns:
 //
-//   - read/write buffers, fed in arbitrary slices across poll wakeups
+//   - read/write buffers, fed in arbitrary slices across loop wakeups
 //     (torn lines and torn frames reassemble; malformed or oversized
 //     input gets a structured error and a close, never a crash),
 //   - a codec: the '\n' line codec for netcat-style clients, or the
@@ -17,7 +17,8 @@
 //   - a bounded pending-event queue with write-side backpressure: when
 //     a slow client's write buffer is above the high-water mark, event
 //     fan-out to it pauses; when the pending queue overflows, the
-//     oldest events drop and are counted per connection.
+//     oldest events drop and are counted per connection. Only frame
+//     (after the hello) and line clients receive events.
 //
 // Disconnect and `quit` drain gracefully: queued responses flush before
 // the close, and the hub releases only the sessions this client opened
@@ -43,6 +44,7 @@
 
 #include "hub/controller.hpp"
 #include "net/codec.hpp"
+#include "net/loop.hpp"
 #include "obs/metrics.hpp"
 
 namespace gmdf::net {
@@ -51,8 +53,6 @@ struct ServerConfig {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0; ///< 0: ephemeral (read the bound one from port())
     int max_connections = 10000;
-    std::size_t max_frame_payload = 1 << 20;
-    std::size_t max_line = 16 * 1024;
     /// Event fan-out to a connection pauses while its write buffer holds
     /// at least this many bytes (responses still queue — they are
     /// bounded by one per request).
@@ -108,10 +108,11 @@ public:
     void stop();
 
     /// The bound port (after start()).
-    [[nodiscard]] std::uint16_t port() const { return port_; }
+    [[nodiscard]] std::uint16_t port() const { return loop_.port(); }
 
-    /// One poll(2) cycle: accept, read, execute, write. Returns the
-    /// number of fds with activity; blocks at most timeout_ms.
+    /// One loop cycle: accept, read, execute, write, then close what
+    /// finished. Returns the number of ready fds (the listener counting
+    /// as one); blocks at most timeout_ms.
     int poll_once(int timeout_ms);
 
     /// Loops poll_once until `stop_flag` goes true.
@@ -144,17 +145,15 @@ private:
         hub::RouteContext ctx;
         bool draining = false; ///< close once outbuf flushes
         bool shed = false;     ///< over the high-water mark: busy reply, then close
+        bool closing = false;  ///< closed and erased at the end of this cycle
         std::chrono::steady_clock::time_point last_activity{};
         std::uint64_t bytes_in = 0;
         std::uint64_t bytes_out = 0;
         std::uint64_t requests = 0;
         std::uint64_t events_dropped = 0;
-
-        Connection(std::size_t max_frame_payload, std::size_t max_line)
-            : frames(max_frame_payload), lines(max_line) {}
     };
 
-    void accept_pending();
+    void accept_connection(int fd);
     bool read_connection(Connection& conn); ///< false: close it now
     bool process_input(Connection& conn);
     bool process_http(Connection& conn); ///< false: response queued, drain+close
@@ -170,14 +169,13 @@ private:
     void protocol_error(Connection& conn, const std::string& message);
     /// Busy reply in the connection's detected codec, then drain+close.
     void shed_busy(Connection& conn);
-    void close_connection(std::size_t index);
+    void close_connection(Connection& conn);
     /// Writes stats_ and the open connection count into a hub scrape.
     void publish_metrics(obs::Registry& reg) const;
 
     hub::HubController& hub_;
     ServerConfig config_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
+    EventLoop loop_;
     int next_conn_id_ = 1;
     std::vector<std::unique_ptr<Connection>> connections_;
     NetStats stats_;

@@ -3,25 +3,22 @@
 // runaway sessions, `session revive` checkpoint restore, the hardened
 // network layer (mid-request disconnects, idle timeouts with heartbeat
 // keep-alive, accept load-shed), torn-frame-then-reconnect session
-// resume through net::ChaosProxy, a seeded 10%-fault chaos campaign,
-// and the bounded divergence/journal rings.
+// resume and intact multi-chunk bursts through net::ChaosProxy, a seeded
+// 10%-fault chaos campaign, and the bounded divergence/journal rings.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "campaign/chaos.hpp"
 #include "core/observer.hpp"
 #include "hub/controller.hpp"
+#include "loopback.hpp"
 #include "net/chaos.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
@@ -209,56 +206,10 @@ TEST(Watchdog, ShardedPumpQuarantinesRunawayAndSurvivorsKeepRunning) {
 
 // ---- network hardening ------------------------------------------------------
 
-class ChaosServer {
-public:
-    explicit ChaosServer(gn::ServerConfig config = {}) {
-        EXPECT_NE(hub.open("blinker", "s"), nullptr);
-        server.emplace(hub, std::move(config));
-        std::string error;
-        if (!server->start(&error)) ADD_FAILURE() << "start: " << error;
-        thread = std::thread([this] { server->run(stop_flag, /*timeout_ms=*/5); });
-    }
-
-    ~ChaosServer() { join(); }
-
-    void join() {
-        if (!thread.joinable()) return;
-        stop_flag.store(true);
-        thread.join();
-    }
-
-    [[nodiscard]] std::uint16_t port() const { return server->port(); }
-
-    gh::HubController hub;
-    std::optional<gn::Server> server;
-    std::atomic<bool> stop_flag{false};
-    std::thread thread;
-};
-
-int raw_dial(std::uint16_t port) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-        << std::strerror(errno);
-    timeval tv{5, 0};
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    return fd;
-}
-
-void raw_send(int fd, std::string_view bytes) {
-    while (!bytes.empty()) {
-        ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-        ASSERT_GT(n, 0) << std::strerror(errno);
-        bytes.remove_prefix(static_cast<std::size_t>(n));
-    }
-}
+using namespace gmdf::test;
 
 TEST(NetHardening, MidRequestDisconnectLeavesServerServing) {
-    ChaosServer srv;
+    LoopbackServer srv({}, "s");
 
     // A client that handshakes, starts a request frame — 64 bytes
     // promised, 5 delivered — and vanishes.
@@ -289,7 +240,7 @@ TEST(NetHardening, MidRequestDisconnectLeavesServerServing) {
 TEST(NetHardening, IdleTimeoutClosesSilentConnectionButPingKeepsAlive) {
     gn::ServerConfig config;
     config.idle_timeout_ms = 60;
-    ChaosServer srv(config);
+    LoopbackServer srv(config, "s");
 
     auto quiet = gn::Channel::connect("127.0.0.1", srv.port());
     auto beating = gn::Channel::connect("127.0.0.1", srv.port());
@@ -313,7 +264,7 @@ TEST(NetHardening, IdleTimeoutClosesSilentConnectionButPingKeepsAlive) {
 TEST(NetHardening, AcceptHighWaterShedsWithStructuredBusy) {
     gn::ServerConfig config;
     config.accept_high_water = 1;
-    ChaosServer srv(config);
+    LoopbackServer srv(config, "s");
 
     auto first = gn::Channel::connect("127.0.0.1", srv.port());
     ASSERT_NE(first, nullptr);
@@ -335,7 +286,7 @@ TEST(NetHardening, AcceptHighWaterShedsWithStructuredBusy) {
 // ---- chaos proxy ------------------------------------------------------------
 
 TEST(ChaosProxy, TornFrameThenReconnectResumesSession) {
-    ChaosServer srv;
+    LoopbackServer srv({}, "s");
 
     gn::ChaosConfig chaos;
     chaos.upstream_port = srv.port();
@@ -378,6 +329,49 @@ TEST(ChaosProxy, TornFrameThenReconnectResumesSession) {
     // The half frame the server received must not have counted as a
     // client offence (it was a clean EOF after a torn prefix).
     EXPECT_EQ(srv.server->stats().protocol_errors, 0u);
+}
+
+// One edge-triggered wakeup may announce many 16 KiB reads; bytes left
+// unread get no second one. A lost edge shows as a missing reply once
+// raw_dial's 5 s receive timeout trips, not as a hang.
+TEST(ChaosProxy, ForwardsAMultiChunkBurstIntact) {
+    LoopbackServer srv({}, "s");
+    gn::ChaosConfig chaos;
+    chaos.upstream_port = srv.port();
+    gn::ChaosProxy proxy(chaos);
+    std::string error;
+    ASSERT_TRUE(proxy.start(&error)) << error;
+    // A jthread joins on every exit, a failed assertion's too.
+    std::jthread proxy_thread([&proxy](std::stop_token stop) {
+        while (!stop.stop_requested()) proxy.poll_once(5);
+    });
+
+    int fd = raw_dial(proxy.port());
+    raw_send(fd, std::string(gn::kMagic) +
+                     gn::encode_frame(gn::FrameType::Hello, gn::hello_payload()));
+    gn::FrameReader reader;
+    gn::Frame frame;
+    ASSERT_TRUE(raw_read_frame(fd, reader, frame)) << reader.error();
+    EXPECT_EQ(frame.type, gn::FrameType::Hello);
+
+    // Over the request-line limit, under the 1 MiB frame cap: the hub
+    // answers it with a structured bad-request.
+    raw_send(fd, gn::encode_frame(gn::FrameType::Request, std::string(200 * 1024, 'x')));
+    ASSERT_TRUE(raw_read_frame(fd, reader, frame)) << "no reply to the 200 KiB request";
+    EXPECT_EQ(frame.type, gn::FrameType::Response);
+    EXPECT_EQ(frame.payload.rfind("error bad-request:", 0), 0u) << frame.payload;
+    ASSERT_TRUE(raw_read_frame(fd, reader, frame));
+    EXPECT_EQ(frame.type, gn::FrameType::Done);
+
+    raw_send(fd, gn::encode_frame(gn::FrameType::Request, "info"));
+    ASSERT_TRUE(raw_read_frame(fd, reader, frame)) << "no reply to info";
+    EXPECT_EQ(frame.type, gn::FrameType::Response);
+    EXPECT_EQ(frame.payload.rfind("ok\n", 0), 0u) << frame.payload;
+    ::close(fd);
+
+    proxy_thread.request_stop();
+    proxy_thread.join();
+    EXPECT_EQ(proxy.stats().torn + proxy.stats().corruptions, 0u);
 }
 
 TEST(ChaosCampaign, TenPercentFaultsZeroHubCrashesZeroUnclassified) {

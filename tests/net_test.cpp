@@ -2,24 +2,20 @@
 // including torn and oversized input, the proto-layer request/response
 // guards the wire relies on, and a live loopback server — golden
 // quickstart transcript over TCP, multi-client session isolation with
-// ACL refusals, slow-client backpressure with drop accounting, graceful
-// drain of client-opened sessions, and structured protocol errors for
-// malformed frames.
+// ACL refusals, slow-client backpressure with drop accounting, events
+// only to session codecs, graceful drain of client-opened sessions, and
+// structured protocol errors for malformed frames.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "hub/controller.hpp"
+#include "loopback.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
 #include "net/server.hpp"
@@ -173,90 +169,7 @@ TEST(ProtoGuards, ParseResponseRejectsForeignText) {
 
 // ---- live loopback server ---------------------------------------------------
 
-// Hub + server + poll loop on a background thread. The loop owns the
-// hub while running (it is single-threaded by design), so tests talk to
-// it exclusively through sockets and only inspect server internals
-// after stop() has joined the thread.
-class LoopbackServer {
-public:
-    explicit LoopbackServer(gn::ServerConfig config = {},
-                            const std::string& seed = "blinker") {
-        EXPECT_NE(hub.open(seed, seed), nullptr);
-        server.emplace(hub, std::move(config));
-        std::string error;
-        if (!server->start(&error)) ADD_FAILURE() << "start: " << error;
-        thread = std::thread([this] { server->run(stop_flag); });
-    }
-
-    ~LoopbackServer() { join(); }
-
-    /// Stops the poll loop; server state is safe to inspect afterwards.
-    void join() {
-        if (!thread.joinable()) return;
-        stop_flag.store(true);
-        thread.join();
-    }
-
-    [[nodiscard]] std::uint16_t port() const { return server->port(); }
-
-    std::unique_ptr<gn::Channel> dial() {
-        std::string error;
-        auto channel = gn::Channel::connect("127.0.0.1", port(), &error);
-        EXPECT_NE(channel, nullptr) << error;
-        return channel;
-    }
-
-    gh::HubController hub;
-    std::optional<gn::Server> server;
-    std::atomic<bool> stop_flag{false};
-    std::thread thread;
-};
-
-int raw_dial(std::uint16_t port) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-        << std::strerror(errno);
-    timeval tv{5, 0}; // a hung read fails the test instead of the run
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    return fd;
-}
-
-void raw_send(int fd, std::string_view bytes) {
-    while (!bytes.empty()) {
-        ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-        ASSERT_GT(n, 0) << std::strerror(errno);
-        bytes.remove_prefix(static_cast<std::size_t>(n));
-    }
-}
-
-/// Reads until the connection closes (or the rcv timeout trips).
-std::string raw_drain(int fd) {
-    std::string out;
-    char chunk[4096];
-    while (true) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) break;
-        out.append(chunk, static_cast<std::size_t>(n));
-    }
-    return out;
-}
-
-/// Reads until `out` contains `until` (or the rcv timeout trips).
-std::string raw_read_until(int fd, std::string_view until) {
-    std::string out;
-    char chunk[4096];
-    while (out.find(until) == std::string::npos) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) break;
-        out.append(chunk, static_cast<std::size_t>(n));
-    }
-    return out;
-}
+using namespace gmdf::test;
 
 TEST(NetServer, QuickstartTranscriptOverLoopbackIsByteIdentical) {
     LoopbackServer srv;
@@ -332,7 +245,7 @@ TEST(NetServer, GracefulDrainClosesOnlyClientOpenedSessions) {
         EXPECT_EQ(listed.body[0], "sessions 2");
     } // A disconnects without `session close`: the server must release it
 
-    // The poll loop notices the EOF on its own schedule.
+    // The server loop notices the EOF on its own schedule.
     std::string sessions;
     for (int i = 0; i < 100; ++i) {
         auto listed = b->execute_line("session list");
@@ -401,6 +314,37 @@ TEST(NetServer, SlowClientBackpressureDropsOldestEvents) {
     EXPECT_EQ(srv.server->stats().events_sent, 2u);    // active's flush only
 }
 
+// Events fanned out to a connection still detecting its codec would
+// precede its hello echo; to a scrape, its status line.
+TEST(NetServer, EventsReachOnlySessionCodecs) {
+    LoopbackServer srv;
+    int detecting = raw_dial(srv.port()); // sends nothing yet
+    int scrape = raw_dial(srv.port());
+    raw_send(scrape, "GET /metrics HTTP/1.0\r\n"); // head still arriving
+
+    // Accept is FIFO: both raw sockets are connections before this
+    // client's run raises its events.
+    auto active = srv.dial();
+    ASSERT_NE(active, nullptr);
+    ASSERT_TRUE(active->execute_line("break add state on").ok());
+    auto resp = active->execute_line("run 1000");
+    ASSERT_TRUE(resp.ok()) << resp.message;
+    EXPECT_FALSE(active->drain_event_lines().empty());
+
+    raw_send(detecting, std::string(gn::kMagic) +
+                            gn::encode_frame(gn::FrameType::Hello, gn::hello_payload()));
+    gn::FrameReader reader;
+    gn::Frame frame;
+    ASSERT_TRUE(raw_read_frame(detecting, reader, frame)) << reader.error();
+    EXPECT_EQ(frame.type, gn::FrameType::Hello);
+
+    raw_send(scrape, "\r\n");
+    const std::string reply = raw_read(scrape);
+    EXPECT_EQ(reply.rfind("HTTP/1.0 200 OK", 0), 0u) << reply.substr(0, 80);
+    ::close(detecting);
+    ::close(scrape);
+}
+
 TEST(NetServer, MalformedFrameGetsStructuredErrorThenClose) {
     LoopbackServer srv;
     int fd = raw_dial(srv.port());
@@ -416,7 +360,7 @@ TEST(NetServer, MalformedFrameGetsStructuredErrorThenClose) {
     raw_send(fd, std::string_view(header, sizeof(header)));
 
     gn::FrameReader reader;
-    reader.feed(raw_drain(fd)); // hello echo + error frame, then EOF
+    reader.feed(raw_read(fd)); // hello echo + error frame, then EOF
     gn::Frame frame;
     ASSERT_EQ(reader.next(frame), gn::FrameReader::Status::Ready);
     EXPECT_EQ(frame.type, gn::FrameType::Hello);
@@ -436,7 +380,7 @@ TEST(NetServer, WrongHelloVersionIsRefused) {
     raw_send(fd, std::string(gn::kMagic) +
                      gn::encode_frame(gn::FrameType::Hello, "gmdf-net 99"));
     gn::FrameReader reader;
-    reader.feed(raw_drain(fd));
+    reader.feed(raw_read(fd));
     gn::Frame frame;
     ASSERT_EQ(reader.next(frame), gn::FrameReader::Status::Ready);
     EXPECT_EQ(frame.type, gn::FrameType::Error);
@@ -448,17 +392,17 @@ TEST(NetServer, LineCodecServesSplitRequestsAndComments) {
     LoopbackServer srv;
     int fd = raw_dial(srv.port());
 
-    // A torn request: the verb arrives across two segments and poll
+    // A torn request: the verb arrives across two segments and loop
     // wakeups. Blank lines and comments are script-style no-ops.
     raw_send(fd, "inf");
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     raw_send(fd, "o\n# a comment\n\n");
-    std::string text = raw_read_until(fd, "transports");
+    std::string text = raw_read(fd, "transports");
     EXPECT_EQ(text.rfind("ok\n", 0), 0u) << text;
     EXPECT_NE(text.find("| model blinker_system"), std::string::npos) << text;
 
     raw_send(fd, "no-such-verb\nquit\n");
-    text = raw_drain(fd); // error response, goodbye, then EOF
+    text = raw_read(fd); // error response, goodbye, then EOF
     EXPECT_NE(text.find("error unknown-verb:"), std::string::npos) << text;
     EXPECT_NE(text.find("| bye"), std::string::npos) << text;
     ::close(fd);

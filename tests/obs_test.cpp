@@ -8,13 +8,9 @@
 // and tracing fully enabled.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -22,6 +18,7 @@
 #include <vector>
 
 #include "hub/controller.hpp"
+#include "loopback.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -331,37 +328,11 @@ TEST(MetricsVerb, EachHubScrapesOnlyItsOwnTotals) {
 
 // ---- GET /metrics over a live loopback server -------------------------------
 
-int raw_dial(std::uint16_t port) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-        << std::strerror(errno);
-    timeval tv{5, 0}; // a hung read fails the test instead of the run
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    return fd;
-}
-
 /// One-shot HTTP exchange: send `request`, read to close.
 std::string raw_http(std::uint16_t port, std::string_view request) {
-    int fd = raw_dial(port);
-    std::string_view rest = request;
-    while (!rest.empty()) {
-        ssize_t n = ::send(fd, rest.data(), rest.size(), MSG_NOSIGNAL);
-        EXPECT_GT(n, 0) << std::strerror(errno);
-        if (n <= 0) break;
-        rest.remove_prefix(static_cast<std::size_t>(n));
-    }
-    std::string out;
-    char chunk[4096];
-    while (true) {
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n <= 0) break;
-        out.append(chunk, static_cast<std::size_t>(n));
-    }
+    int fd = gmdf::test::raw_dial(port);
+    gmdf::test::raw_send(fd, request);
+    std::string out = gmdf::test::raw_read(fd);
     ::close(fd);
     return out;
 }

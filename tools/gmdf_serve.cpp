@@ -16,10 +16,12 @@
 // wait for that line, then parse the port). SIGINT/SIGTERM drain and
 // exit 0.
 #include <arpa/inet.h>
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "hub/controller.hpp"
@@ -32,6 +34,21 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
+
+/// Parses all of `text` as an integer in [lo, T's maximum], or says why not.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, long long lo, T& out) {
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || v < lo ||
+        v > static_cast<long long>(std::numeric_limits<T>::max())) {
+        std::cerr << "gmdf_serve: bad value '" << text << "' for " << flag << "\n";
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+}
 
 int usage(std::ostream& out, int code) {
     out << "usage: gmdf_serve [--model <name>] [--host <addr>] [--port <n>] "
@@ -66,10 +83,10 @@ int usage(std::ostream& out, int code) {
 } // namespace
 
 int main(int argc, char** argv) {
-    // The server's poll loop writes to sockets that can vanish between
-    // poll() and send(); MSG_NOSIGNAL covers those sends, and ignoring
-    // SIGPIPE covers everything else (a late flush on a dead fd must
-    // surface as EPIPE, never kill the hub).
+    // The server's event loop writes to sockets that can vanish between
+    // a readiness report and send(); MSG_NOSIGNAL covers those sends, and
+    // ignoring SIGPIPE covers everything else (a late flush on a dead fd
+    // must surface as EPIPE, never kill the hub).
     std::signal(SIGPIPE, SIG_IGN);
 
     std::string model = "blinker";
@@ -79,35 +96,33 @@ int main(int argc, char** argv) {
     gmdf::net::ServerConfig config;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
         if (arg == "--model" && i + 1 < argc) {
             model = argv[++i];
         } else if (arg == "--host" && i + 1 < argc) {
             config.host = argv[++i];
         } else if (arg == "--port" && i + 1 < argc) {
-            config.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+            ok = parse_number(arg, argv[++i], 0, config.port);
         } else if (arg == "--max-conn" && i + 1 < argc) {
-            config.max_connections = std::atoi(argv[++i]);
+            ok = parse_number(arg, argv[++i], 1, config.max_connections);
         } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-            config.idle_timeout_ms = std::atoi(argv[++i]);
+            ok = parse_number(arg, argv[++i], 0, config.idle_timeout_ms);
         } else if (arg == "--accept-high-water" && i + 1 < argc) {
-            config.accept_high_water = std::atoi(argv[++i]);
+            ok = parse_number(arg, argv[++i], 0, config.accept_high_water);
         } else if (arg == "--watchdog-us" && i + 1 < argc) {
-            watchdog.slice_limit_us = std::atoll(argv[++i]);
+            ok = parse_number(arg, argv[++i], 0, watchdog.slice_limit_us);
         } else if (arg == "--watchdog-strikes" && i + 1 < argc) {
-            watchdog.max_strikes = std::atoi(argv[++i]);
+            ok = parse_number(arg, argv[++i], 1, watchdog.max_strikes);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
-            if (threads < 1) {
-                std::cerr << "gmdf_serve: --threads must be >= 1\n";
-                return usage(std::cerr, 2);
-            }
+            ok = parse_number(arg, argv[++i], 1, threads);
         } else {
             std::cerr << "gmdf_serve: unknown argument '" << arg << "'\n";
             return usage(std::cerr, 2);
         }
+        if (!ok) return usage(std::cerr, 2);
     }
 
     gmdf::hub::HubController hub;

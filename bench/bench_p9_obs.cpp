@@ -6,7 +6,7 @@
 // This bench prices each piece:
 //
 //   dispatch        full Controller::execute("info") with (a) metrics off,
-//                   (b) metrics on (counter + latency histogram per verb),
+//                   (b) metrics on (the verb's latency histogram),
 //                   (c) metrics + tracer on (span per dispatch), plus the
 //                   derived overhead percentages CI gates on
 //   primitives      Counter::add and Histogram::record ns/op, enabled and
@@ -47,7 +47,7 @@ double time_ns(int iters, int rounds, Fn&& fn) {
 
 struct DispatchResult {
     double off_ns = 0.0;     ///< metrics disabled
-    double metrics_ns = 0.0; ///< metrics enabled (per-verb counter + histogram)
+    double metrics_ns = 0.0; ///< metrics enabled (per-verb latency histogram)
     double traced_ns = 0.0;  ///< metrics + tracer enabled (span per dispatch)
     [[nodiscard]] double metrics_pct() const {
         return (metrics_ns - off_ns) / off_ns * 100.0;

@@ -40,42 +40,51 @@ std::string entry_line(SessionRegistry::Entry& e, bool is_current) {
 
 } // namespace
 
-HubController::HubController() {
-    // Hub-level verbs are dispatched by execute_line itself (they need
-    // the caller's RouteContext); these rows exist for the merged help
-    // listing only, hence the null handlers.
-    hub_dispatcher_.add({"session", "session open <scenario> [name]",
-                         "host a new session (becomes current)", nullptr});
-    hub_dispatcher_.add({"session", "session close [session]",
-                         "close a session (default: current)", nullptr});
-    hub_dispatcher_.add({"session", "session list", "list hosted sessions", nullptr});
-    hub_dispatcher_.add({"session", "session use <session>",
-                         "switch the current session", nullptr});
-    hub_dispatcher_.add({"session", "session revive [session]",
-                         "lift a faulted session's quarantine (restores its last"
-                         " checkpoint when a timeline is attached)",
-                         nullptr});
-    hub_dispatcher_.add({"session", "session stats [net|shards]",
-                         "hub totals: sessions, scheduler, aggregate engine counters"
-                         " (net: network server; shards: per-shard pump split)",
-                         nullptr});
-    hub_dispatcher_.add({"attach", "attach <session>",
-                         "switch this client's current session", nullptr});
-    hub_dispatcher_.add({"acl", "acl allow <session> [...]",
-                         "restrict this client to the listed sessions", nullptr});
-    hub_dispatcher_.add({"acl", "acl clear|show",
-                         "lift this client's restriction / show its allowlist",
-                         nullptr});
-    hub_dispatcher_.add({"campaign", "campaign run <pairs> [seed]",
-                         "fault-hunt campaign over generated models", nullptr});
-    hub_dispatcher_.add({"campaign", "campaign report",
-                         "re-print the last campaign's summary", nullptr});
-    hub_dispatcher_.add({"metrics", "metrics [prefix]",
-                         "unified obs registry dump: counters, gauges, latency"
-                         " histograms (optionally filtered by name prefix)",
-                         nullptr});
-    init_slice_hook();
+// One row of the hub verb table; the shape proto::find_verb and
+// proto::help_lines expect.
+struct HubController::Verb {
+    std::string_view verb;
+    std::string_view usage;
+    std::string_view summary;
+    proto::Response (HubController::*handler)(const proto::Request&,
+                                              RouteContext&); ///< null: doc-only row
+};
+
+const std::vector<HubController::Verb>& HubController::verb_table() {
+    using H = HubController;
+    static const std::vector<Verb> table = {
+        {"session", "session open <scenario> [name]",
+         "host a new session (becomes current)", &H::cmd_session},
+        {"session", "session close [session]", "close a session (default: current)",
+         nullptr},
+        {"session", "session list", "list hosted sessions", nullptr},
+        {"session", "session use <session>", "switch the current session", nullptr},
+        {"session", "session revive [session]",
+         "lift a faulted session's quarantine (restores its last"
+         " checkpoint when a timeline is attached)",
+         nullptr},
+        {"session", "session stats [net|shards]",
+         "hub totals: sessions, scheduler, aggregate engine counters"
+         " (net: network server; shards: per-shard pump split)",
+         nullptr},
+        {"attach", "attach <session>", "switch this client's current session",
+         &H::cmd_attach},
+        {"acl", "acl allow <session> [...]", "restrict this client to the listed sessions",
+         &H::cmd_acl},
+        {"acl", "acl clear|show", "lift this client's restriction / show its allowlist",
+         nullptr},
+        {"campaign", "campaign run <pairs> [seed]",
+         "fault-hunt campaign over generated models", &H::cmd_campaign},
+        {"campaign", "campaign report", "re-print the last campaign's summary", nullptr},
+        {"metrics", "metrics [prefix]",
+         "unified obs registry dump: counters, gauges, latency"
+         " histograms (optionally filtered by name prefix)",
+         &H::cmd_metrics},
+    };
+    return table;
 }
+
+HubController::HubController() { init_slice_hook(); }
 
 HubController::~HubController() = default;
 
@@ -90,11 +99,9 @@ void HubController::publish_metrics(obs::Registry& reg) {
     set("hub.requests", stats_.requests);
     set("hub.request_errors", stats_.request_errors);
     set("hub.events_dropped", stats_.events_dropped);
-    set("hub.pump.slices", scheduler_.total_slices());
-    set("hub.pump.steals", scheduler_.total_steals());
-    const WatchdogStats& wd = scheduler_.watchdog_stats();
-    set("hub.watchdog.overruns", wd.overruns);
-    set("hub.watchdog.runaways", wd.runaways);
+    // Slices, steals and overruns have their home in the hub.shard.*
+    // families below; runaways have no per-shard home.
+    set("hub.watchdog.runaways", scheduler_.watchdog_stats().runaways);
     const core::EngineStats total = registry_.aggregate_stats();
     set("engine.commands", total.commands);
     set("engine.reactions", total.reactions);
@@ -127,7 +134,7 @@ std::string HubController::prometheus_text() {
     return obs::registry().prometheus_text(&scoped);
 }
 
-proto::Response HubController::cmd_metrics(const proto::Request& req) {
+proto::Response HubController::cmd_metrics(const proto::Request& req, RouteContext&) {
     if (req.args.size() > 1)
         return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                            "usage: metrics [prefix]");
@@ -253,7 +260,7 @@ proto::Response HubController::route(SessionRegistry::Entry& entry,
     try {
         resp = entry.controller().execute_line(line);
     } catch (const std::exception& e) {
-        // Backstop for exceptions that escape the session dispatcher's
+        // Backstop for exceptions that escape the session controller's
         // own guard: quarantine the session instead of unwinding the hub.
         entry.mark_faulted(e.what());
         resp = proto::Response::make_error(proto::ErrorCode::Internal,
@@ -309,8 +316,7 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
     if (!addressed) entry = registry_.find(ctx.current);
 
     std::string_view verb = first_token(line);
-    if (verb == "session" || verb == "attach" || verb == "acl" ||
-        verb == "campaign" || verb == "metrics") {
+    if (const Verb* row = proto::find_verb(verb_table(), verb)) {
         // Silently dropping the prefix would make '@cell session close'
         // act on the *current* session — refuse instead.
         if (addressed)
@@ -323,11 +329,7 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
         ++stats_.requests;
         proto::Response resp;
         try {
-            if (verb == "session") resp = cmd_session(*parsed.request, ctx);
-            else if (verb == "attach") resp = cmd_attach(*parsed.request, ctx);
-            else if (verb == "campaign") resp = cmd_campaign(*parsed.request);
-            else if (verb == "metrics") resp = cmd_metrics(*parsed.request);
-            else resp = cmd_acl(*parsed.request, ctx);
+            resp = (this->*row->handler)(*parsed.request, ctx);
         } catch (const std::exception& e) {
             resp = proto::Response::make_error(proto::ErrorCode::Internal,
                                                std::string(verb) + " failed: " +
@@ -344,17 +346,15 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
         auto parsed = proto::parse_request(line);
         if (parsed.ok()) {
             const auto& args = parsed.request->args;
-            if (args.size() == 1 &&
-                (args[0] == "session" || args[0] == "attach" || args[0] == "acl" ||
-                 args[0] == "campaign" || args[0] == "metrics"))
-                return hub_ok(hub_dispatcher_.help_lines(args[0]));
+            if (args.size() == 1 && proto::find_verb(verb_table(), args[0]) != nullptr)
+                return hub_ok(proto::help_lines(verb_table(), args[0]));
             if (args.empty()) {
-                if (entry == nullptr) return hub_ok(hub_dispatcher_.help_lines());
+                if (entry == nullptr) return hub_ok(proto::help_lines(verb_table()));
                 // One combined listing: the session's verbs, then the
                 // hub's session-management rows.
                 proto::Response resp = route(*entry, line);
                 if (resp.ok())
-                    for (std::string& extra : hub_dispatcher_.help_lines())
+                    for (std::string& extra : proto::help_lines(verb_table()))
                         resp.body.push_back(std::move(extra));
                 return resp;
             }
@@ -705,7 +705,7 @@ proto::Response HubController::cmd_acl(const proto::Request& req, RouteContext& 
                                        "usage: acl allow|clear|show ...");
 }
 
-proto::Response HubController::cmd_campaign(const proto::Request& req) {
+proto::Response HubController::cmd_campaign(const proto::Request& req, RouteContext&) {
     if (req.args.size() == 1 && req.args[0] == "report") {
         if (last_campaign_ == nullptr)
             return proto::Response::make_error(

@@ -24,6 +24,10 @@
 //   campaign report                  re-print the last campaign's summary
 //   metrics [prefix]                 this hub's scrape (see below)
 //
+// These verbs are one static table (hub/controller.cpp) that both
+// dispatches and documents them; `help` lists the session verb table,
+// then this one.
+//
 // Every other verb is dispatched to the addressed (or current) session's
 // own controller, whose `run` hook the hub rebinds to the scheduler — so
 // `run <ms>` advances every live session concurrently, interleaving
@@ -58,7 +62,6 @@
 
 #include "hub/registry.hpp"
 #include "hub/sharded.hpp"
-#include "proto/dispatcher.hpp"
 #include "proto/script.hpp"
 
 namespace gmdf::campaign {
@@ -136,8 +139,8 @@ public:
     [[nodiscard]] RouteContext& root_context() { return root_; }
 
     /// Executes one request line: resolves an optional @<session>
-    /// prefix, handles `session`/`attach`/`acl` verbs at hub level, and
-    /// routes everything else to the addressed session. Never throws.
+    /// prefix, handles the hub's own verbs, and routes everything else
+    /// to the addressed session. Never throws.
     proto::Response execute_line(std::string_view line) override;
 
     /// Same, under an explicit per-client context (a network connection).
@@ -181,9 +184,6 @@ public:
     void set_event_capacity(std::size_t capacity) { event_capacity_ = capacity; }
     [[nodiscard]] std::size_t event_capacity() const { return event_capacity_; }
 
-    /// The hub-level verb registry (the `session` rows).
-    [[nodiscard]] const proto::Dispatcher& dispatcher() const { return hub_dispatcher_; }
-
     [[nodiscard]] const HubStats& stats() const { return stats_; }
 
     /// This hub's scrape as Prometheus text (what GET /metrics serves).
@@ -194,6 +194,12 @@ public:
     [[nodiscard]] bool multi_session() const { return multi_; }
 
 private:
+    struct Verb; ///< one row of the hub verb table (controller.cpp)
+
+    /// The hub-level verbs, dispatched by execute_line (they need the
+    /// caller's RouteContext) and listed after the session's in `help`.
+    static const std::vector<Verb>& verb_table();
+
     void init_slice_hook();
     proto::Response hub_ok(std::vector<std::string> body);
     proto::Response hub_error(proto::ErrorCode code, std::string message);
@@ -214,13 +220,12 @@ private:
     proto::Response session_stats_shards();
     proto::Response cmd_attach(const proto::Request& req, RouteContext& ctx);
     proto::Response cmd_acl(const proto::Request& req, RouteContext& ctx);
-    proto::Response cmd_campaign(const proto::Request& req);
-    proto::Response cmd_metrics(const proto::Request& req);
+    proto::Response cmd_campaign(const proto::Request& req, RouteContext& ctx);
+    proto::Response cmd_metrics(const proto::Request& req, RouteContext& ctx);
     void publish_metrics(obs::Registry& reg);
 
     SessionRegistry registry_;
     ShardedScheduler scheduler_;
-    proto::Dispatcher hub_dispatcher_;
     RouteContext root_;
     bool multi_ = false;
     HubStats stats_;

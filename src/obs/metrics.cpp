@@ -69,18 +69,15 @@ double Histogram::Snapshot::percentile(double p) const {
 Histogram::Snapshot Histogram::snapshot() const {
     Snapshot snap;
     // Relaxed loads: a snapshot taken mid-record may be off by the in-flight
-    // sample; scrape output never promises a consistent cut.
-    snap.count = count_.load(std::memory_order_relaxed);
+    // sample; scrape output never promises a consistent cut. The count is
+    // the bucket sum, so percentile ranks and the cumulative exposition
+    // never disagree with each other.
     snap.sum = sum_.load(std::memory_order_relaxed);
-    std::uint64_t bucket_total = 0;
     for (int i = 0; i < kBuckets; ++i) {
         snap.buckets[static_cast<std::size_t>(i)] =
             buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-        bucket_total += snap.buckets[static_cast<std::size_t>(i)];
+        snap.count += snap.buckets[static_cast<std::size_t>(i)];
     }
-    // Keep count consistent with the bucket sum so percentile ranks and the
-    // cumulative exposition never disagree with each other.
-    snap.count = bucket_total;
     return snap;
 }
 

@@ -1,11 +1,12 @@
 // gmdf::obs — unified metrics registry.
 //
 // One process-global registry of named counters, gauges, and fixed-bucket
-// latency histograms, designed so the hot path pays one relaxed atomic op
-// per update and the scrape path can render everything deterministically:
+// latency histograms, designed so the hot path pays a relaxed atomic op or
+// two per update and the scrape path can render everything
+// deterministically:
 //
-//   obs::registry().counter("proto.requests", "verb", "query").add();
 //   obs::registry().histogram("proto.request_ns", "verb", "query").record(ns);
+//   scoped.counter("hub.requests").set(stats.requests); // at scrape time
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // process lifetime — metrics are never erased — so call sites look a metric
@@ -93,16 +94,17 @@ class Histogram {
         return (std::uint64_t{1} << index) - 1;
     }
 
+    // The buckets are the one home of the sample count: snapshot() sums
+    // them, so a record is two relaxed adds.
     void record(std::uint64_t v) {
         if (!metrics_enabled()) return;
         buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
             1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
         sum_.fetch_add(v, std::memory_order_relaxed);
     }
 
     struct Snapshot {
-        std::uint64_t count = 0;
+        std::uint64_t count = 0; ///< sum of the buckets
         std::uint64_t sum = 0;
         std::array<std::uint64_t, kBuckets> buckets{};
 
@@ -116,7 +118,6 @@ class Histogram {
 
   private:
     std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-    std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> sum_{0};
 };
 

@@ -1,5 +1,6 @@
 #include "proto/controller.hpp"
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -104,22 +105,20 @@ std::string breakpoint_line(const meta::Model& design, int handle,
     return os.str();
 }
 
+/// Registers each dispatchable row's proto.request_ns{verb} histogram.
+std::vector<SessionController::Verb> with_histograms(
+    std::vector<SessionController::Verb> rows) {
+    for (SessionController::Verb& row : rows)
+        if (row.handler != nullptr)
+            row.latency = &obs::registry().histogram("proto.request_ns", "verb", row.verb);
+    return rows;
+}
+
 } // namespace
 
-// One row of the shared session verb table: the registry metadata plus
-// the unbound handler. The table is a function-local static constructed
-// once per process; every controller binds its `this` against it, so a
-// hub hosting N sessions keeps one copy of the registry.
-struct SessionController::VerbEntry {
-    std::string_view verb;
-    std::string_view usage;
-    std::string_view summary;
-    Response (SessionController::*handler)(const Request&); ///< null: doc-only row
-};
-
-const std::vector<SessionController::VerbEntry>& SessionController::verb_table() {
+const std::vector<SessionController::Verb>& SessionController::verb_table() {
     using C = SessionController;
-    static const std::vector<VerbEntry> table = {
+    static const std::vector<Verb> table = with_histograms({
         {"help", "help [verb]", "list commands (or one verb's forms)", &C::cmd_help},
         {"info", "info", "session summary: model, GDM, engine, transports", &C::cmd_info},
         {"run", "run <ms>", "advance the attached target by <ms> milliseconds",
@@ -171,32 +170,50 @@ const std::vector<SessionController::VerbEntry>& SessionController::verb_table()
          "the design model or the recorded trace",
          &C::cmd_bisect},
         {"quit", "quit", "end the session", &C::cmd_quit},
-    };
+    });
     return table;
 }
 
 SessionController::SessionController(core::DebugSession& session) : session_(&session) {
-    bind_verbs();
+    // The first construction builds the verb table and with it every
+    // verb's histogram, so a scrape lists them before any request.
+    (void)verb_table();
     session_->engine().add_observer(this);
 }
 
 SessionController::~SessionController() { session_->engine().remove_observer(this); }
 
-void SessionController::bind_verbs() {
-    for (const VerbEntry& entry : verb_table()) {
-        Handler handler;
-        if (entry.handler != nullptr) {
-            auto fn = entry.handler;
-            handler = [this, fn](const Request& req) { return (this->*fn)(req); };
-        }
-        dispatcher_.add({entry.verb, entry.usage, entry.summary, std::move(handler)});
-    }
-}
-
 Response SessionController::execute(const Request& req) {
     session_->engine().note_request();
-    Response resp = dispatcher_.dispatch(req);
+    Response resp = dispatch(req);
     if (!resp.ok()) session_->engine().note_request_error();
+    return resp;
+}
+
+Response SessionController::dispatch(const Request& req) {
+    const Verb* row = find_verb(verb_table(), req.verb);
+    if (row == nullptr)
+        return Response::make_error(ErrorCode::UnknownVerb,
+                                    "unknown verb '" + req.verb + "' (try 'help')");
+    // One relaxed load gates the whole instrumentation block; with metrics
+    // off the dispatch path is byte-for-byte the uninstrumented one.
+    const bool timed = obs::metrics_enabled();
+    const auto begin = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+    obs::Span span("proto", "dispatch:", req.verb);
+    Response resp;
+    try {
+        resp = (this->*row->handler)(req);
+    } catch (const std::exception& e) {
+        resp = Response::make_error(ErrorCode::Internal, req.verb + " failed: " + e.what());
+    } catch (...) {
+        resp = Response::make_error(ErrorCode::Internal, req.verb + " failed");
+    }
+    if (timed)
+        row->latency->record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - begin)
+                .count()));
     return resp;
 }
 
@@ -254,8 +271,8 @@ void SessionController::on_state_change(core::EngineState from, core::EngineStat
 
 Response SessionController::cmd_help(const Request& req) {
     if (req.args.size() > 1) return bad_args("help [verb]");
-    if (req.args.empty()) return Response::make_ok(dispatcher_.help_lines());
-    auto lines = dispatcher_.help_lines(req.args[0]);
+    if (req.args.empty()) return Response::make_ok(help_lines(verb_table()));
+    auto lines = help_lines(verb_table(), req.args[0]);
     if (lines.empty())
         return Response::make_error(ErrorCode::NotFound,
                                     "no verb '" + req.args[0] + "'");

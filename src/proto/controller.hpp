@@ -1,27 +1,31 @@
 // SessionController: the protocol face of one DebugSession.
 //
-// Owns the Dispatcher with the debugger verb set, executes Requests
-// against the session, and — as an EngineObserver — turns breakpoint
+// Dispatches Requests against the session straight from the static
+// session verb table, and — as an EngineObserver — turns breakpoint
 // hits, divergences, and engine-state changes into asynchronous Events
 // queued for the client. DebugSession's own control methods route
 // through the same handlers (see core/session.cpp), so the C++ API and
 // the protocol cannot drift.
 //
-// The verb registry (names, usage, summaries, handler bindings) is one
-// shared table constructed once per process; a controller instance holds
+// The verb table (names, usage, summaries, handlers, per-verb latency
+// histograms) is built once per process; a controller instance holds
 // strictly per-session state — the session pointer, the run hook, and
-// the event queue — so a hub hosting many sessions pays per session only
-// for the handler bindings, never for the registry itself.
+// the event queue — so a hub hosting many sessions pays nothing per
+// session for its verbs. The hub's own verbs live in a second table of
+// the same shape (hub/controller.cpp); both list their `help` through
+// help_lines() below, so documentation cannot drift from what is
+// actually dispatchable.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/observer.hpp"
-#include "proto/dispatcher.hpp"
+#include "obs/metrics.hpp"
 #include "proto/message.hpp"
 #include "rt/des.hpp"
 
@@ -40,21 +44,61 @@ namespace gmdf::proto {
 /// this to rt::Target::run_for; scripted harnesses pump their transport.
 using RunHook = std::function<void(rt::SimTime)>;
 
+// A verb table is a vector of rows with `verb`, `usage`, `summary` and a
+// member-function `handler`, in help order. Several rows may share a
+// verb to document its forms separately (`break add ...` / `break
+// remove <handle>`): the first row with a handler dispatches, the rest
+// are doc-only (null handler).
+
+/// The row that dispatches `verb`, or null.
+template <typename Row>
+const Row* find_verb(const std::vector<Row>& table, std::string_view verb) {
+    for (const Row& row : table)
+        if (row.verb == verb && row.handler != nullptr) return &row;
+    return nullptr;
+}
+
+/// The `help` listing: "<usage> -- <summary>" per row, optionally only
+/// one verb's rows.
+template <typename Row>
+std::vector<std::string> help_lines(const std::vector<Row>& table,
+                                    std::string_view verb = {}) {
+    std::vector<std::string> out;
+    for (const Row& row : table)
+        if (verb.empty() || row.verb == verb)
+            out.push_back(std::string(row.usage) + " -- " + std::string(row.summary));
+    return out;
+}
+
 class SessionController final : public core::EngineObserver {
 public:
-    /// Registers the debugger verbs and subscribes to `session`'s engine.
-    /// The session must outlive the controller.
+    /// One row of the session verb table.
+    struct Verb {
+        std::string_view verb;
+        std::string_view usage;   ///< e.g. "step [actor]"
+        std::string_view summary; ///< one-line human description
+        Response (SessionController::*handler)(const Request&); ///< null: doc-only row
+        /// proto.request_ns{verb}, registered with the table; null on
+        /// doc-only rows.
+        obs::Histogram* latency = nullptr;
+    };
+
+    /// The session verb table, built by the first controller's
+    /// constructor so every verb's histogram is in a scrape before any
+    /// request.
+    static const std::vector<Verb>& verb_table();
+
+    /// Subscribes to `session`'s engine. The session must outlive the
+    /// controller.
     explicit SessionController(core::DebugSession& session);
     ~SessionController() override;
 
     SessionController(const SessionController&) = delete;
     SessionController& operator=(const SessionController&) = delete;
 
-    [[nodiscard]] Dispatcher& dispatcher() { return dispatcher_; }
-    [[nodiscard]] const Dispatcher& dispatcher() const { return dispatcher_; }
-
-    /// Executes one request; counts it in the session's EngineStats.
-    /// Never throws.
+    /// Executes one request; counts it in the session's EngineStats and
+    /// times it in its verb's histogram. Unknown verbs and handler
+    /// exceptions come back as error Responses. Never throws.
     Response execute(const Request& req);
 
     /// Parses and executes one request line.
@@ -87,13 +131,7 @@ public:
     void on_state_change(core::EngineState from, core::EngineState to) override;
 
 private:
-    struct VerbEntry; ///< one row of the shared verb table (controller.cpp)
-
-    /// The process-wide verb registry: constructed once, shared by every
-    /// controller instance.
-    static const std::vector<VerbEntry>& verb_table();
-
-    void bind_verbs();
+    Response dispatch(const Request& req);
     void push_event(Event ev);
 
     // Verb handlers.
@@ -117,7 +155,6 @@ private:
     Response cmd_quit(const Request& req);
 
     core::DebugSession* session_;
-    Dispatcher dispatcher_;
     RunHook run_hook_;
     replay::Timeline* timeline_ = nullptr;
     std::deque<Event> events_;

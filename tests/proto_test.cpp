@@ -1,6 +1,6 @@
 // Tests for the protocol layer: request/response codec (round-trips,
-// quoting, malformed input -> structured errors), dispatcher registry,
-// every registered verb end-to-end against a scripted session, the
+// quoting, malformed input -> structured errors), table dispatch and help,
+// every verb in the table end-to-end against a scripted session, the
 // asynchronous event queue, the protocol counters, and the golden
 // transcript of the scripted quickstart scenario.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "core/session.hpp"
 #include "link/transport.hpp"
 #include "proto/controller.hpp"
-#include "proto/dispatcher.hpp"
 #include "proto/message.hpp"
 #include "proto/scenarios.hpp"
 #include "proto/script.hpp"
@@ -87,29 +86,56 @@ TEST(Codec, EventFormatting) {
               "* state-change waiting -> animating\n");
 }
 
-// ---- dispatcher -------------------------------------------------------------
+// ---- verb table -------------------------------------------------------------
 
-TEST(Dispatcher, UnknownVerbAndExceptionSafety) {
-    gp::Dispatcher d;
-    d.add({"boom", "boom", "throws", [](const gp::Request&) -> gp::Response {
-               throw std::runtime_error("kaput");
-           }});
-    auto unknown = d.dispatch({"nope", {}});
+TEST(VerbTable, UnknownVerbAndHandlerExceptions) {
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    auto& ctl = scenario->controller();
+    const auto before = scenario->session->engine().stats();
+    auto unknown = ctl.execute_line("nope");
     EXPECT_EQ(unknown.code, gp::ErrorCode::UnknownVerb);
-    auto thrown = d.dispatch({"boom", {}});
+    EXPECT_EQ(unknown.message, "unknown verb 'nope' (try 'help')");
+    // A target crash inside `run` throws out of the handler; dispatch
+    // turns it into an internal error naming the verb.
+    scenario->target.inject_fault_at(50 * rt::kMs, "kaput");
+    auto thrown = ctl.execute_line("run 100");
     EXPECT_EQ(thrown.code, gp::ErrorCode::Internal);
-    EXPECT_NE(thrown.message.find("kaput"), std::string::npos);
+    EXPECT_EQ(thrown.message, "run failed: kaput");
+    const auto after = scenario->session->engine().stats();
+    EXPECT_EQ(after.requests, before.requests + 2);
+    EXPECT_EQ(after.request_errors, before.request_errors + 2);
+    EXPECT_TRUE(ctl.execute_line("run 100").ok()); // the fault was one-shot
 }
 
-TEST(Dispatcher, HelpListsEveryRegisteredRow) {
-    gp::Dispatcher d;
-    d.add({"a", "a <x>", "first", [](const gp::Request&) { return gp::Response::make_ok(); }});
-    d.add({"a", "a <y>", "second form", nullptr}); // doc-only row
-    d.add({"b", "b", "other", [](const gp::Request&) { return gp::Response::make_ok(); }});
-    EXPECT_EQ(d.verbs(), (std::vector<std::string>{"a", "b"}));
-    EXPECT_EQ(d.help_lines().size(), 3u);
-    EXPECT_EQ(d.help_lines("a").size(), 2u);
-    EXPECT_TRUE(d.dispatch({"a", {}}).ok());
+TEST(VerbTable, HelpListsDocOnlyRows) {
+    const auto& table = gp::SessionController::verb_table();
+    std::set<std::string_view> dispatchable;
+    for (const auto& row : table) {
+        if (row.handler == nullptr) {
+            EXPECT_EQ(row.latency, nullptr) << row.usage;
+            continue;
+        }
+        EXPECT_TRUE(dispatchable.insert(row.verb).second) << row.verb;
+        EXPECT_NE(row.latency, nullptr) << row.verb;
+        EXPECT_EQ(gp::find_verb(table, row.verb), &row);
+    }
+    EXPECT_EQ(table.size(), 27u);
+    EXPECT_EQ(dispatchable.size(), 17u);
+
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    auto help = scenario->controller().execute_line("help");
+    ASSERT_TRUE(help.ok());
+    ASSERT_EQ(help.body.size(), 27u);
+    EXPECT_EQ(help.body[8],
+              "break add signal <predicate> [once] -- pause when the signal expression "
+              "becomes true");
+    auto one = scenario->controller().execute_line("help break");
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(one.body.size(), 4u);
+    EXPECT_EQ(scenario->controller().execute_line("help nothing").code,
+              gp::ErrorCode::NotFound);
 }
 
 // ---- end-to-end against a scripted session ---------------------------------
@@ -376,7 +402,7 @@ TEST(Controller, RenderTraceReplayHelpQuit) {
     EXPECT_EQ(quit.body[0], "bye");
 }
 
-// Every verb the dispatcher registers is exercised with a passing
+// Every verb in the session verb table is exercised with a passing
 // request — new verbs must come with coverage or this fails. The
 // time-travel verbs need a deterministic target with a timeline, so
 // they run against a built-in scenario; everything else runs on the
@@ -412,13 +438,13 @@ TEST(Controller, EveryRegisteredVerbHasAPassingRequest) {
         exercised.insert(parsed.request->verb);
     }
 
-    auto verbs = s.session->controller().dispatcher().verbs();
-    for (const std::string& verb : verbs)
-        EXPECT_TRUE(exercised.contains(verb)) << "verb '" << verb << "' untested";
+    for (const auto& row : gp::SessionController::verb_table())
+        EXPECT_TRUE(exercised.contains(std::string(row.verb)))
+            << "verb '" << row.verb << "' untested";
 }
 
-// The C++ control surface routes through the same dispatcher handlers,
-// so the protocol counters see it.
+// The C++ control surface routes through the same verb handlers, so the
+// protocol counters see it.
 TEST(Session, ControlMethodsRouteThroughDispatcher) {
     ScriptedSession s;
     auto before = s.session->engine().stats().requests;

@@ -16,9 +16,11 @@
 // clients (--pairs) driving .gds workloads at --fault-rate (a fraction;
 // 0.1 faults 10% of forwarded chunks). Exit status 0 iff the hub
 // survives and every client classifies — CI's chaos gate.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "campaign/chaos.hpp"
@@ -44,6 +46,34 @@ void print_json(const gmdf::campaign::CampaignReport& report) {
                     i + 1 < kinds.size() ? "," : "");
     }
     std::printf("  }\n}\n");
+}
+
+/// Parses a whole integer flag value in [lo, max of T]; false, with the
+/// reason on stderr, on junk, overflow or a value out of range.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, long long lo, T& out) {
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || v < lo ||
+        v > static_cast<long long>(std::numeric_limits<T>::max())) {
+        std::fprintf(stderr, "gmdf_campaign: bad value '%s' for %s\n", text, flag.c_str());
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+}
+
+/// Parses a fault rate: a finite fraction in [0, 1].
+bool parse_rate(const std::string& flag, const char* text, double& out) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0 || v > 1.0) {
+        std::fprintf(stderr, "gmdf_campaign: bad value '%s' for %s\n", text, flag.c_str());
+        return false;
+    }
+    out = v;
+    return true;
 }
 
 int usage(const char* argv0) {
@@ -83,43 +113,24 @@ int main(int argc, char** argv) {
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next_int = [&](long min_v) -> long {
-            if (i + 1 >= argc) return min_v - 1;
-            char* end = nullptr;
-            long v = std::strtol(argv[++i], &end, 10);
-            return (end == nullptr || *end != '\0') ? min_v - 1 : v;
-        };
+        const bool has_value = i + 1 < argc;
+        bool ok = true;
         if (arg == "--chaos") {
             chaos = true;
-        } else if (arg == "--fault-rate") {
-            if (i + 1 >= argc) return usage(argv[0]);
-            char* end = nullptr;
-            double v = std::strtod(argv[++i], &end);
-            if (end == nullptr || *end != '\0' || v < 0.0 || v > 1.0)
-                return usage(argv[0]);
-            chaos_cfg.fault_rate = v;
-        } else if (arg == "--rounds") {
-            long v = next_int(1);
-            if (v < 1) return usage(argv[0]);
-            chaos_cfg.rounds = static_cast<int>(v);
-        } else if (arg == "--pairs") {
-            long v = next_int(1);
-            if (v < 1) return usage(argv[0]);
-            cfg.pairs = static_cast<int>(v);
-            chaos_cfg.clients = static_cast<int>(v);
-        } else if (arg == "--seed") {
-            long v = next_int(0);
-            if (v < 0) return usage(argv[0]);
-            cfg.seed = static_cast<std::uint32_t>(v);
-            chaos_cfg.seed = static_cast<std::uint32_t>(v);
-        } else if (arg == "--wave") {
-            long v = next_int(1);
-            if (v < 1) return usage(argv[0]);
-            cfg.wave = static_cast<int>(v);
-        } else if (arg == "--threads" || arg == "-j") {
-            long v = next_int(1);
-            if (v < 1) return usage(argv[0]);
-            cfg.threads = static_cast<int>(v);
+        } else if (arg == "--fault-rate" && has_value) {
+            ok = parse_rate(arg, argv[++i], chaos_cfg.fault_rate);
+        } else if (arg == "--rounds" && has_value) {
+            ok = parse_number(arg, argv[++i], 1, chaos_cfg.rounds);
+        } else if (arg == "--pairs" && has_value) {
+            ok = parse_number(arg, argv[++i], 1, cfg.pairs);
+            chaos_cfg.clients = cfg.pairs;
+        } else if (arg == "--seed" && has_value) {
+            ok = parse_number(arg, argv[++i], 0, cfg.seed);
+            chaos_cfg.seed = cfg.seed;
+        } else if (arg == "--wave" && has_value) {
+            ok = parse_number(arg, argv[++i], 1, cfg.wave);
+        } else if ((arg == "--threads" || arg == "-j") && has_value) {
+            ok = parse_number(arg, argv[++i], 1, cfg.threads);
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--verbose") {
@@ -127,6 +138,7 @@ int main(int argc, char** argv) {
         } else {
             return usage(argv[0]);
         }
+        if (!ok) return usage(argv[0]);
     }
 
     if (chaos) return run_chaos(chaos_cfg, verbose);

@@ -32,11 +32,7 @@ MakeResult make_generated_scenario(const GenSpec& spec, std::uint32_t model_seed
     std::string name = "gen_" + std::to_string(model_seed);
     if (fault.has_value()) name += std::string("_") + codegen::to_string(*fault);
     auto scenario = std::make_unique<proto::Scenario>(std::move(name));
-
-    GeneratedSystem gen = generate_system(scenario->sys, spec, model_seed);
-    if (gen.nodes > 1) scenario->target.set_network_latency(500 * rt::kUs);
-    for (const GenStimulus& st : gen.stimuli)
-        scenario->stimuli.push_back({st.signal, st.value, st.at, st.node});
+    proto::generate_scenario(*scenario, spec, model_seed);
 
     if (fault.has_value()) {
         scenario->mutated =
@@ -45,9 +41,32 @@ MakeResult make_generated_scenario(const GenSpec& spec, std::uint32_t model_seed
         if (!report.has_value()) return out; // no applicable element: skipped
         out.fault_description = report->description;
     }
-    if (!proto::finalize_scenario(*scenario)) return MakeResult{};
+    if (!proto::validate_scenario(*scenario)) return MakeResult{};
+    proto::wire_scenario(*scenario);
     out.scenario = std::move(scenario);
     return out;
+}
+
+TwinScenarios make_twin_scenarios(const GenSpec& spec, std::uint32_t model_seed,
+                                  codegen::FaultKind fault) {
+    auto clean = std::make_unique<proto::Scenario>("gen_" + std::to_string(model_seed));
+    proto::generate_scenario(*clean, spec, model_seed);
+    auto mutated = std::make_unique<meta::Model>(clean->sys.model().clone());
+    auto report = codegen::inject_fault(*mutated, fault, model_seed);
+    if (!report.has_value()) return {}; // no applicable element: skipped
+    // Validation never reads the System's own name, so this one run also
+    // covers the faulted twin's renamed clone.
+    if (!proto::validate_scenario(*clean)) return {};
+
+    auto faulted = std::make_unique<proto::Scenario>(clean->name + "_" +
+                                                     codegen::to_string(fault));
+    faulted->sys = clean->sys.clone(faulted->name + "_system");
+    faulted->target.set_network_latency(clean->target.network_latency());
+    faulted->stimuli = clean->stimuli;
+    faulted->mutated = std::move(mutated);
+    proto::wire_scenario(*faulted);
+    proto::wire_scenario(*clean);
+    return {std::move(clean), std::move(faulted), std::move(report->description)};
 }
 
 namespace {
@@ -152,14 +171,6 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
     const int wave_size = cfg.wave < 1 ? 1 : cfg.wave;
     const int threads = cfg.threads < 1 ? 1 : cfg.threads;
 
-    /// A wave pair between construction and adoption (pair-local, so
-    /// construction fans out across threads).
-    struct Prep {
-        std::unique_ptr<proto::Scenario> clean;
-        std::unique_ptr<proto::Scenario> faulted;
-        std::string fault_description;
-    };
-
     for (int wave_start = 0; wave_start < pairs; wave_start += wave_size) {
         const int wave_end = std::min(pairs, wave_start + wave_size);
         const int wave_n = wave_end - wave_start;
@@ -175,25 +186,21 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
 
         // Build every pair's twin scenarios in parallel: each pair is
         // derived from its own seed alone.
-        std::vector<Prep> preps(static_cast<std::size_t>(wave_n));
+        std::vector<TwinScenarios> twins(static_cast<std::size_t>(wave_n));
         hub::parallel_for(wave_n, threads, [&](int j) {
             const int i = wave_start + j;
             const std::uint32_t model_seed =
                 cfg.seed * 100003u + static_cast<std::uint32_t>(i);
             const codegen::FaultKind kind =
                 kinds[static_cast<std::size_t>(i) % kinds.size()];
-            Prep& prep = preps[static_cast<std::size_t>(j)];
-            MakeResult faulted = make_generated_scenario(cfg.gen, model_seed, kind);
-            if (faulted.scenario == nullptr) return; // skipped
-            MakeResult clean = make_generated_scenario(cfg.gen, model_seed, std::nullopt);
+            TwinScenarios& pair = twins[static_cast<std::size_t>(j)];
+            pair = make_twin_scenarios(cfg.gen, model_seed, kind);
+            if (pair.faulted == nullptr) return; // skipped
 
             // Baseline checkpoint at t=0 so bisect's search window covers
             // the whole trace, then cadence captures during the pump.
-            faulted.scenario->timeline->set_auto_period(cfg.checkpoint_every);
-            faulted.scenario->timeline->capture_now();
-            prep.faulted = std::move(faulted.scenario);
-            prep.clean = std::move(clean.scenario);
-            prep.fault_description = std::move(faulted.fault_description);
+            pair.faulted->timeline->set_auto_period(cfg.checkpoint_every);
+            pair.faulted->timeline->capture_now();
         });
 
         // Adopt in pair order (stable session ids), then pump the whole
@@ -206,8 +213,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
                 cfg.seed * 100003u + static_cast<std::uint32_t>(i);
             const codegen::FaultKind kind =
                 kinds[static_cast<std::size_t>(i) % kinds.size()];
-            Prep& prep = preps[static_cast<std::size_t>(j)];
-            if (prep.faulted == nullptr) {
+            TwinScenarios& pair = twins[static_cast<std::size_t>(j)];
+            if (pair.faulted == nullptr) {
                 PairResult r;
                 r.index = i;
                 r.model_seed = model_seed;
@@ -218,10 +225,10 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
                 continue;
             }
             const std::string tag = "p" + std::to_string(i);
-            auto* clean_entry = registry.adopt(std::move(prep.clean), tag + "_clean");
-            auto* fault_entry = registry.adopt(std::move(prep.faulted), tag + "_fault");
+            auto* clean_entry = registry.adopt(std::move(pair.clean), tag + "_clean");
+            auto* fault_entry = registry.adopt(std::move(pair.faulted), tag + "_fault");
             live.push_back({i, model_seed, kind, clean_entry->id, fault_entry->id,
-                            std::move(prep.fault_description)});
+                            std::move(pair.fault_description)});
         }
 
         scheduler.pump(registry, cfg.run_for, [](hub::SessionRegistry::Entry& entry) {

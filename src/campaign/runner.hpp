@@ -70,6 +70,22 @@ struct MakeResult {
                                                  std::uint32_t model_seed,
                                                  std::optional<codegen::FaultKind> fault);
 
+/// Both twins of one campaign pair, or neither (the pair is skipped).
+struct TwinScenarios {
+    std::unique_ptr<proto::Scenario> clean;   ///< null when skipped
+    std::unique_ptr<proto::Scenario> faulted; ///< null when skipped
+    std::string fault_description;            ///< inject_fault's report
+};
+
+/// Builds a pair's twins from one generation and one validation: the
+/// clean twin is generated from `model_seed`, the faulted twin's design
+/// is a clone of it (its System renamed, so each twin equals what
+/// make_generated_scenario builds), and the faulted twin's code comes
+/// from a second clone with `fault` injected (victim picked from
+/// `model_seed`). Both null when the fault has no applicable element.
+[[nodiscard]] TwinScenarios make_twin_scenarios(const GenSpec& spec, std::uint32_t model_seed,
+                                                codegen::FaultKind fault);
+
 /// How one campaigned pair ended. Exactly one of these, always.
 enum class Outcome { Skipped, Clean, Localized };
 

@@ -50,8 +50,9 @@ std::size_t ProgramBody::load_state(std::span<const double> in) {
 
 void ProgramBody::emit(const link::Command& cmd) {
     if (ctx_ == nullptr) return;
-    auto frame = link::frame_payload(link::encode_command(cmd));
-    ctx_->send_debug(frame);
+    frame_.clear();
+    link::append_frame(frame_, link::encode_command(cmd));
+    ctx_->send_debug(frame_);
 }
 
 void ProgramBody::mirror(ObjectId element, ObjectId value_id) {

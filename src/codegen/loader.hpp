@@ -80,6 +80,7 @@ private:
     std::vector<meta::ObjectId> out_ids_;
     std::vector<double> last_out_;
     bool first_scan_ = true;
+    std::vector<std::uint8_t> frame_; ///< emit()'s wire buffer, reused per command
 };
 
 /// One loaded actor: where it runs and what can be observed.

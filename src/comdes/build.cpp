@@ -11,6 +11,12 @@ SystemBuilder::SystemBuilder(std::string name) : model_(comdes_metamodel().mm) {
     system_ = sys.id();
 }
 
+SystemBuilder SystemBuilder::clone(std::string name) const {
+    SystemBuilder copy(model_.clone(), system_);
+    copy.model_.at(system_).set_attr("name", Value(std::move(name)));
+    return copy;
+}
+
 ObjectId SystemBuilder::add_signal(const std::string& name, const std::string& type,
                                    double init) {
     auto& sig = model_.create(*comdes_metamodel().signal);

@@ -40,10 +40,17 @@ public:
     [[nodiscard]] const meta::Model& model() const { return model_; }
     [[nodiscard]] meta::ObjectId system_id() const { return system_; }
 
+    /// A builder over a deep copy of this model (object ids preserved)
+    /// whose System is renamed to `name`.
+    [[nodiscard]] SystemBuilder clone(std::string name) const;
+
     /// Moves the finished model out of the builder.
     [[nodiscard]] meta::Model take() { return std::move(model_); }
 
 private:
+    SystemBuilder(meta::Model model, meta::ObjectId system)
+        : model_(std::move(model)), system_(system) {}
+
     meta::Model model_;
     meta::ObjectId system_;
 };

@@ -34,11 +34,13 @@ public:
     /// Command -> reaction bindings (defaults provided).
     SessionBuilder& bindings(CommandBindingTable b);
 
-    /// Decaying highlight half-life of the default scene animator.
+    /// Decaying highlight half-life of the default scene animator. The
+    /// animator is part of the session's view, so build() builds it.
     SessionBuilder& highlight_half_life(rt::SimTime ns);
 
     /// Bounds the trace recorder to a ring of `capacity` events (0:
-    /// unbounded, the default).
+    /// unbounded, the default). A bounded trace cannot re-animate what
+    /// it evicts, so a non-zero capacity makes build() build the view.
     SessionBuilder& trace_capacity(std::size_t capacity);
 
     /// Restricts model-level stepping to one actor.
@@ -60,8 +62,9 @@ public:
     /// Registers an extra engine observer (session-owned).
     SessionBuilder& observer(std::unique_ptr<EngineObserver> o);
 
-    /// Builds the session: abstraction runs, observers register, then
-    /// transports attach (in the order they were added).
+    /// Builds the session: bindings and settings apply, observers
+    /// register, then transports attach (in the order they were added).
+    /// The abstraction runs later, when the view is first used.
     [[nodiscard]] std::unique_ptr<DebugSession> build();
 
 private:

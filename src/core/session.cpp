@@ -11,14 +11,32 @@ DebugSession::DebugSession(const meta::Model& design)
     : DebugSession(design, comdes_default_mapping()) {}
 
 DebugSession::DebugSession(const meta::Model& design, const MappingTable& mapping)
-    : design_(&design), mapping_(mapping), abstraction_(abstract_model(design, mapping)),
-      engine_(design), animator_(design, abstraction_.scene) {
-    engine_.add_observer(&animator_);
+    : design_(&design), mapping_(mapping), engine_(design) {
     engine_.add_observer(&trace_);
     engine_.add_observer(&divergence_log_);
 }
 
 DebugSession::~DebugSession() = default;
+
+DebugSession::View::View(const meta::Model& design, const MappingTable& mapping)
+    : abstraction(abstract_model(design, mapping)), animator(design, abstraction.scene) {}
+
+DebugSession::View& DebugSession::view() {
+    if (view_ == nullptr) {
+        // Catch the new animator up on everything the trace recorder saw,
+        // then let it follow the live stream.
+        view_ = std::make_unique<View>(*design_, mapping_);
+        replay::animate_trace(*design_, engine_.bindings(), trace_.events(),
+                              view_->animator);
+        engine_.add_observer(&view_->animator);
+    }
+    return *view_;
+}
+
+void DebugSession::set_trace_capacity(std::size_t capacity) {
+    if (capacity != 0) (void)view();
+    trace_.set_capacity(capacity);
+}
 
 link::Transport& DebugSession::attach(std::unique_ptr<link::Transport> transport) {
     link::Transport& t = *transport;
@@ -67,7 +85,7 @@ std::uint64_t DebugSession::corrupt_frames() const {
     return total;
 }
 
-std::string DebugSession::gdm_text() const { return meta::write_model(abstraction_.gdm); }
+std::string DebugSession::gdm_text() { return meta::write_model(gdm()); }
 
 render::TimingDiagram DebugSession::timing_diagram() const {
     return trace_.timing_diagram(*design_);
@@ -75,14 +93,14 @@ render::TimingDiagram DebugSession::timing_diagram() const {
 
 std::string DebugSession::vcd() const { return trace_.to_vcd(*design_); }
 
-std::vector<std::string> DebugSession::replay_frames(std::size_t stride) const {
+std::vector<std::string> DebugSession::replay_frames(std::size_t stride) {
     if (stride == 0) stride = 1;
     // Fresh scene + animator; the re-animation loop itself is the shared
-    // replay::animate_trace (also behind rewind's scene rebuild and the
-    // C3 replay bench).
+    // replay::animate_trace (also behind the view's first build, rewind's
+    // scene rebuild and the C3 replay bench).
     AbstractionResult fresh = abstract_model(*design_, mapping_);
     SceneAnimator replay_animator(*design_, fresh.scene);
-    replay_animator.set_highlight_half_life(animator_.highlight_half_life());
+    replay_animator.set_highlight_half_life(animator().highlight_half_life());
     std::vector<std::string> frames;
     replay::animate_trace(*design_, engine_.bindings(), trace_.events(),
                           replay_animator, [&](std::size_t i) {
@@ -94,7 +112,7 @@ std::vector<std::string> DebugSession::replay_frames(std::size_t stride) const {
 
 void DebugSession::reset_scene() {
     AbstractionResult fresh = abstract_model(*design_, mapping_);
-    abstraction_.scene = std::move(fresh.scene);
+    scene() = std::move(fresh.scene);
 }
 
 } // namespace gmdf::core

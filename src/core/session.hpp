@@ -8,8 +8,26 @@
 //   5. attach the running target through a link::Transport — actively
 //      (RS-232 command interface) or passively (JTAG watchpoints), or any
 //      custom probe — and the engine fans events out to its observers:
-//      the scene animator, the trace recorder, the divergence log, and
+//      the trace recorder, the divergence log, the scene animator, and
 //      whatever else is registered.
+//
+// The view — the GDM, its scene and the scene animator — is built the
+// first time something asks for it (scene(), gdm(), abstraction(),
+// animator(), the renders, gdm_text(), replay_frames()). A headless
+// session (a campaign twin, a fleet session nobody renders) never builds
+// it. The late build is exact: it re-animates the recorded trace through
+// replay::animate_trace, and the trace recorder and the animator are both
+// plain observers, so they see the same commands in the same order.
+// Three consequences:
+//   - a bounded trace cannot re-animate what it evicted, so a non-zero
+//     set_trace_capacity() builds the view at once;
+//   - a late view re-animates with the engine's bindings as they are at
+//     that moment. In the library and tools only SessionBuilder sets
+//     bindings, before any event. The F6 workflow bench changes them
+//     after abstraction() has built the view; other code that changes
+//     bindings mid-session must build the view first the same way;
+//   - the first access must not come from inside an engine observer
+//     callback, because building registers the animator on the engine.
 //
 // The control plane (pause/resume/step) routes through the session's
 // proto::SessionController, so the C++ methods and the text protocol
@@ -39,8 +57,9 @@ namespace gmdf::core {
 
 class DebugSession {
 public:
-    /// Builds the GDM from `design` with the default COMDES mapping.
-    /// The design model must outlive the session.
+    /// A session over `design` with the default COMDES mapping (the GDM
+    /// is generated on first use). The design model must outlive the
+    /// session.
     explicit DebugSession(const meta::Model& design);
 
     /// Same, with a user mapping (the Fig. 4 abstraction guide result).
@@ -70,10 +89,15 @@ public:
 
     [[nodiscard]] DebuggerEngine& engine() { return engine_; }
     [[nodiscard]] const DebuggerEngine& engine() const { return engine_; }
-    [[nodiscard]] render::Scene& scene() { return abstraction_.scene; }
     [[nodiscard]] const meta::Model& design() const { return *design_; }
-    [[nodiscard]] const meta::Model& gdm() const { return abstraction_.gdm; }
-    [[nodiscard]] const AbstractionResult& abstraction() const { return abstraction_; }
+
+    /// The view: each accessor builds it on first use.
+    [[nodiscard]] render::Scene& scene() { return view().abstraction.scene; }
+    [[nodiscard]] const meta::Model& gdm() { return view().abstraction.gdm; }
+    [[nodiscard]] const AbstractionResult& abstraction() { return view().abstraction; }
+
+    /// Whether the view has been built (a headless session never does).
+    [[nodiscard]] bool view_built() const { return view_ != nullptr; }
 
     /// The session's protocol controller: the typed request/response
     /// surface (proto::Request -> proto::Response + queued proto::Events).
@@ -81,7 +105,7 @@ public:
     [[nodiscard]] proto::SessionController& controller();
 
     /// The default scene animator (observer driving scene()).
-    [[nodiscard]] SceneAnimator& animator() { return animator_; }
+    [[nodiscard]] SceneAnimator& animator() { return view().animator; }
 
     /// The recorded command trace (observer; feeds replay/VCD/timing).
     [[nodiscard]] const TraceRecorder& trace() const { return trace_; }
@@ -102,7 +126,9 @@ public:
     /// Bounds the trace recorder to a ring of `capacity` events (0:
     /// unbounded, the default). Long-running hub sessions set this so the
     /// trace holds the most recent window instead of growing forever.
-    void set_trace_capacity(std::size_t capacity) { trace_.set_capacity(capacity); }
+    /// A bounded trace cannot re-animate what it evicts, so a non-zero
+    /// capacity builds the view first.
+    void set_trace_capacity(std::size_t capacity);
 
     /// Divergences between observed behaviour and the design model.
     [[nodiscard]] const std::deque<Divergence>& divergences() const {
@@ -110,11 +136,11 @@ public:
     }
 
     /// Serialized GDM text (the "initial GDM file").
-    [[nodiscard]] std::string gdm_text() const;
+    [[nodiscard]] std::string gdm_text();
 
     /// Current animation frame.
-    [[nodiscard]] std::string render_ascii() const { return render::render_ascii(abstraction_.scene); }
-    [[nodiscard]] std::string render_svg() const { return render::render_svg(abstraction_.scene); }
+    [[nodiscard]] std::string render_ascii() { return render::render_ascii(scene()); }
+    [[nodiscard]] std::string render_svg() { return render::render_svg(scene()); }
 
     /// Trace products.
     [[nodiscard]] render::TimingDiagram timing_diagram() const;
@@ -122,7 +148,7 @@ public:
 
     /// Deterministic replay: re-animates the recorded trace on a fresh
     /// scene and returns one ASCII frame per `stride` events.
-    [[nodiscard]] std::vector<std::string> replay_frames(std::size_t stride = 1) const;
+    [[nodiscard]] std::vector<std::string> replay_frames(std::size_t stride = 1);
 
     /// Execution control, routed through the protocol dispatcher (the
     /// same handlers `gmdf_dbg` drives). All are safe no-ops when the
@@ -139,13 +165,23 @@ public:
     [[nodiscard]] std::uint64_t corrupt_frames() const;
 
 private:
+    /// The GDM, its scene, and the animator driving that scene. Heap-held
+    /// so the animator's pointer to the scene stays valid.
+    struct View {
+        View(const meta::Model& design, const MappingTable& mapping);
+        AbstractionResult abstraction;
+        SceneAnimator animator;
+    };
+
+    /// The view, built on first use.
+    View& view();
+
     const meta::Model* design_;
-    MappingTable mapping_; ///< kept so reset_scene() re-derives identically
-    AbstractionResult abstraction_;
+    MappingTable mapping_; ///< kept so the view and reset_scene() derive identically
     DebuggerEngine engine_;
-    SceneAnimator animator_;
     TraceRecorder trace_;
     DivergenceLog divergence_log_;
+    std::unique_ptr<View> view_;
     std::vector<std::unique_ptr<EngineObserver>> observers_;
     std::vector<std::unique_ptr<link::Transport>> transports_;
     // Declared last: its destructor unsubscribes from engine_.

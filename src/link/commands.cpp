@@ -35,11 +35,11 @@ std::string Command::to_string() const {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+    out[0] = static_cast<std::uint8_t>(v);
+    out[1] = static_cast<std::uint8_t>(v >> 8);
+    out[2] = static_cast<std::uint8_t>(v >> 16);
+    out[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
@@ -55,13 +55,12 @@ bool valid_kind(std::uint8_t k) {
 
 } // namespace
 
-std::vector<std::uint8_t> encode_command(const Command& cmd) {
-    std::vector<std::uint8_t> out;
-    out.reserve(kCommandPayloadSize);
-    out.push_back(static_cast<std::uint8_t>(cmd.kind));
-    put_u32(out, cmd.a);
-    put_u32(out, cmd.b);
-    put_u32(out, std::bit_cast<std::uint32_t>(cmd.value));
+std::array<std::uint8_t, kCommandPayloadSize> encode_command(const Command& cmd) {
+    std::array<std::uint8_t, kCommandPayloadSize> out{};
+    out[0] = static_cast<std::uint8_t>(cmd.kind);
+    put_u32(&out[1], cmd.a);
+    put_u32(&out[5], cmd.b);
+    put_u32(&out[9], std::bit_cast<std::uint32_t>(cmd.value));
     return out;
 }
 

@@ -7,6 +7,7 @@
 // observed memory changes, so the engine is transport-agnostic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -63,7 +64,7 @@ struct Command {
 inline constexpr std::size_t kCommandPayloadSize = 13;
 
 /// Encodes to the fixed payload layout (not yet framed for the wire).
-[[nodiscard]] std::vector<std::uint8_t> encode_command(const Command& cmd);
+[[nodiscard]] std::array<std::uint8_t, kCommandPayloadSize> encode_command(const Command& cmd);
 
 /// Decodes a payload; nullopt when the size or kind is invalid.
 [[nodiscard]] std::optional<Command> decode_command(std::span<const std::uint8_t> payload);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -21,17 +22,29 @@ inline constexpr std::uint8_t kEscapeXor = 0x20;
 /// CRC-16-CCITT (poly 0x1021, init 0xFFFF, no reflection).
 [[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data);
 
+/// Appends one wire frame wrapping `payload` to `out` (a buffer the
+/// caller owns and may reuse across frames).
+void append_frame(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> payload);
+
 /// Wraps a payload into one wire frame.
 [[nodiscard]] std::vector<std::uint8_t> frame_payload(std::span<const std::uint8_t> payload);
 
-/// Streaming decoder: feed arbitrary byte chunks, collect whole payloads.
+/// Streaming decoder: feed arbitrary byte chunks, receive whole payloads.
 class FrameDecoder {
 public:
-    /// Feeds bytes; every completed, CRC-valid payload is appended to the
-    /// internal queue (drain with take_payloads).
+    /// Receives one CRC-valid payload. The span points into the
+    /// decoder's own buffer and is valid only for the call.
+    using PayloadFn = std::function<void(std::span<const std::uint8_t>)>;
+
+    /// Feeds bytes; every completed, CRC-valid payload goes to
+    /// `on_payload` as soon as its closing flag is decoded.
+    void feed(std::span<const std::uint8_t> bytes, const PayloadFn& on_payload);
+
+    /// Feeds bytes, queueing a copy of every CRC-valid payload (drain
+    /// with take_payloads).
     void feed(std::span<const std::uint8_t> bytes);
 
-    /// Returns and clears the decoded payloads.
+    /// Returns and clears the queued payloads.
     [[nodiscard]] std::vector<std::vector<std::uint8_t>> take_payloads();
 
     /// Frames dropped due to CRC mismatch or malformed escaping.
@@ -51,7 +64,7 @@ public:
     }
 
 private:
-    void end_frame();
+    void end_frame(const PayloadFn& on_payload);
 
     enum class State { Hunting, InFrame, InEscape };
     State state_ = State::Hunting;

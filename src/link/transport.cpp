@@ -28,28 +28,15 @@ void ActiveUartTransport::open(CommandSink& sink) {
     sink_ = &sink;
     target_->set_debug_sink([this](int, std::span<const std::uint8_t> bytes,
                                    rt::SimTime at) {
-        decoder_.feed(bytes);
-        if (sink_ == nullptr) return; // closed with bytes still on the wire
-        for (const auto& payload : decoder_.take_payloads()) {
+        decoder_.feed(bytes, [this, at](std::span<const std::uint8_t> payload) {
+            if (sink_ == nullptr) return; // closed with bytes still on the wire
             auto cmd = decode_command(payload);
             if (cmd.has_value()) {
                 ++commands_;
                 sink_->deliver(*cmd, at);
             }
-        }
+        });
     });
-}
-
-void ActiveUartTransport::poll(CommandSink& sink, rt::SimTime now) {
-    // Delivery is push-style (byte callback above); drain anything a
-    // caller fed the decoder out of band.
-    for (const auto& payload : decoder_.take_payloads()) {
-        auto cmd = decode_command(payload);
-        if (cmd.has_value()) {
-            ++commands_;
-            sink.deliver(*cmd, now);
-        }
-    }
 }
 
 void ActiveUartTransport::close() {

@@ -128,7 +128,11 @@ public:
 
     [[nodiscard]] const char* name() const override { return "active-uart"; }
     void open(CommandSink& sink) override;
-    void poll(CommandSink& sink, rt::SimTime now) override;
+    /// Delivery is push-style (the UART byte callback): nothing to pump.
+    void poll(CommandSink& sink, rt::SimTime now) override {
+        (void)sink;
+        (void)now;
+    }
     void close() override;
     [[nodiscard]] TransportStats stats() const override;
     [[nodiscard]] TargetControl control() override;
@@ -139,8 +143,6 @@ public:
     /// bit-for-bit.
     [[nodiscard]] bool replay_safe() const override { return true; }
     void restore_stats(const TransportStats& s) override;
-
-    [[nodiscard]] const FrameDecoder& decoder() const { return decoder_; }
 
 private:
     rt::Target* target_;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "campaign/generator.hpp"
 #include "codegen/faults.hpp"
 #include "comdes/validate.hpp"
 #include "core/builder.hpp"
@@ -111,9 +110,18 @@ std::vector<std::string> scenario_names() {
     return {"blinker", "turntable", "lift_fault"};
 }
 
-bool finalize_scenario(Scenario& s) {
-    if (!meta::is_clean(comdes::validate_comdes(s.sys.model()))) return false;
+void generate_scenario(Scenario& s, const campaign::GenSpec& spec, std::uint32_t seed) {
+    campaign::GeneratedSystem gen = campaign::generate_system(s.sys, spec, seed);
+    if (gen.nodes > 1) s.target.set_network_latency(500 * rt::kUs);
+    for (const campaign::GenStimulus& st : gen.stimuli)
+        s.stimuli.push_back({st.signal, st.value, st.at, st.node});
+}
 
+bool validate_scenario(const Scenario& s) {
+    return meta::is_clean(comdes::validate_comdes(s.sys.model()));
+}
+
+void wire_scenario(Scenario& s) {
     // Fault scenarios generate code from a mutated clone of the design
     // (emulating a model-transformation bug, codegen/faults); the
     // debugger keeps sys.model() as the design.
@@ -133,7 +141,6 @@ bool finalize_scenario(Scenario& s) {
     s.controller().set_run_hook(
         [timeline](rt::SimTime duration) { timeline->advance(duration); });
     s.target.start();
-    return true;
 }
 
 std::unique_ptr<Scenario> make_scenario(std::string_view name) {
@@ -162,11 +169,7 @@ std::unique_ptr<Scenario> make_scenario(std::string_view name) {
         }
         auto seed = parse_seed(seed_text);
         if (!seed.has_value()) return nullptr;
-        campaign::GeneratedSystem gen =
-            campaign::generate_system(scenario->sys, campaign::GenSpec{}, *seed);
-        if (gen.nodes > 1) scenario->target.set_network_latency(500 * rt::kUs);
-        for (const campaign::GenStimulus& st : gen.stimuli)
-            scenario->stimuli.push_back({st.signal, st.value, st.at, st.node});
+        generate_scenario(*scenario, campaign::GenSpec{}, *seed);
     } else {
         return nullptr;
     }
@@ -178,7 +181,8 @@ std::unique_ptr<Scenario> make_scenario(std::string_view name) {
                  .has_value())
             return nullptr;
     }
-    if (!finalize_scenario(*scenario)) return nullptr;
+    if (!validate_scenario(*scenario)) return nullptr;
+    wire_scenario(*scenario);
     return scenario;
 }
 

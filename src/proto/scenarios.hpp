@@ -8,11 +8,13 @@
 // the CLI and the test fixtures cannot diverge.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "campaign/generator.hpp"
 #include "codegen/loader.hpp"
 #include "comdes/build.hpp"
 #include "core/session.hpp"
@@ -71,14 +73,23 @@ struct Scenario {
 /// `run` verb.
 [[nodiscard]] std::unique_ptr<Scenario> make_scenario(std::string_view name);
 
-/// Wires an externally built scenario (sys + stimuli populated, mutated
-/// optionally set): validates the design model, loads the generated code
-/// (from `mutated` when set — the injected-fault twin — else the design)
-/// onto the target, builds the session over the active command
-/// interface, schedules the stimuli through the rewind-safe publish
-/// path, attaches a replay::Timeline, and starts the target. False when
-/// the design model fails COMDES validation. The campaign runner and
+/// Generates campaign model `seed` into the freshly constructed `s`: the
+/// design model, the network latency a multi-node model runs with, and
+/// its environment stimuli. make_scenario's "gen:" family and the
+/// campaign runner share it.
+void generate_scenario(Scenario& s, const campaign::GenSpec& spec, std::uint32_t seed);
+
+/// Whether the scenario's design model passes COMDES validation. Run it
+/// before wire_scenario.
+[[nodiscard]] bool validate_scenario(const Scenario& s);
+
+/// Wires an externally built, validated scenario (sys + stimuli
+/// populated, mutated optionally set): loads the generated code (from
+/// `mutated` when set — the injected-fault twin — else the design) onto
+/// the target, builds the session over the active command interface,
+/// schedules the stimuli through the rewind-safe publish path, attaches
+/// a replay::Timeline, and starts the target. The campaign runner and
 /// make_scenario share this tail.
-bool finalize_scenario(Scenario& s);
+void wire_scenario(Scenario& s);
 
 } // namespace gmdf::proto

@@ -271,6 +271,9 @@ Timeline::ReplayStop Timeline::replay_span(const Checkpoint& cp, rt::SimTime t,
 }
 
 void Timeline::rebuild_scene() {
+    // A session that never built its view has no scene to rebuild: the
+    // view, built on first use, animates the truncated trace.
+    if (!session_->view_built()) return;
     session_->reset_scene();
     animate_trace(session_->design(), session_->engine().bindings(),
                   session_->trace().events(), session_->animator());

@@ -115,6 +115,48 @@ TEST(Scenarios, FaultedTwinKeepsDesignModelClean) {
 
 // ---- campaign runner --------------------------------------------------------
 
+// One generation and one validation per pair: the twin builder's
+// scenarios match the ones make_generated_scenario builds separately,
+// down to the design text and the executed trace, and neither twin has
+// built a view.
+TEST(Campaign, TwinBuilderMatchesSeparateGeneration) {
+    const gc::GenSpec spec;
+    int built = 0;
+    for (std::uint32_t seed : {100003u, 100004u, 300009u}) {
+        for (auto kind : gmdf::codegen::all_fault_kinds()) {
+            SCOPED_TRACE(std::to_string(seed) + " " + gmdf::codegen::to_string(kind));
+            gc::TwinScenarios twins = gc::make_twin_scenarios(spec, seed, kind);
+            gc::MakeResult faulted = gc::make_generated_scenario(spec, seed, kind);
+            if (faulted.scenario == nullptr) {
+                EXPECT_EQ(twins.faulted, nullptr);
+                EXPECT_EQ(twins.clean, nullptr);
+                continue;
+            }
+            gc::MakeResult clean = gc::make_generated_scenario(spec, seed, std::nullopt);
+            ASSERT_NE(twins.faulted, nullptr);
+            ASSERT_NE(twins.clean, nullptr);
+            ++built;
+            EXPECT_EQ(twins.fault_description, faulted.fault_description);
+            const std::pair<gp::Scenario*, gp::Scenario*> pairs[] = {
+                {twins.faulted.get(), faulted.scenario.get()},
+                {twins.clean.get(), clean.scenario.get()}};
+            for (auto [twin, separate] : pairs) {
+                EXPECT_EQ(twin->name, separate->name);
+                EXPECT_EQ(gmdf::meta::write_model(twin->sys.model()),
+                          gmdf::meta::write_model(separate->sys.model()));
+                EXPECT_EQ(twin->target.network_latency(), separate->target.network_latency());
+                ASSERT_TRUE(twin->controller().execute_line("run 400").ok());
+                ASSERT_TRUE(separate->controller().execute_line("run 400").ok());
+                EXPECT_EQ(twin->session->vcd(), separate->session->vcd());
+                EXPECT_EQ(twin->session->divergences().size(),
+                          separate->session->divergences().size());
+                EXPECT_FALSE(twin->session->view_built());
+            }
+        }
+    }
+    EXPECT_GT(built, 10);
+}
+
 TEST(Campaign, EveryPairClassifiedAndDeterministic) {
     gc::CampaignConfig cfg;
     cfg.pairs = 25;

@@ -284,6 +284,35 @@ TEST(Loader, ActiveModeEmitsDecodableCommands) {
     EXPECT_GT(target.total_instr_cycles(), 0u);
 }
 
+// emit() frames into a reused buffer; the bytes on the wire are exactly
+// frame_payload(encode_command(cmd)) for each command, in order.
+TEST(Loader, EmittedBytesAreFramePayloadPerCommand) {
+    BlinkerFixture f;
+    rt::Target target;
+    (void)gg::load_system(target, f.sys.model(), gg::InstrumentOptions::active());
+    std::vector<std::uint8_t> wire;
+    target.set_debug_sink([&](int, std::span<const std::uint8_t> bytes, rt::SimTime) {
+        wire.insert(wire.end(), bytes.begin(), bytes.end());
+    });
+    target.start();
+    target.run_for(55 * rt::kMs);
+
+    gl::FrameDecoder decoder;
+    decoder.feed(wire);
+    std::vector<std::uint8_t> expected;
+    std::size_t commands = 0;
+    for (const auto& payload : decoder.take_payloads()) {
+        auto cmd = gl::decode_command(payload);
+        ASSERT_TRUE(cmd.has_value());
+        auto frame = gl::frame_payload(gl::encode_command(*cmd));
+        expected.insert(expected.end(), frame.begin(), frame.end());
+        ++commands;
+    }
+    EXPECT_GT(commands, 20u);
+    EXPECT_EQ(decoder.corrupt_frames(), 0u);
+    EXPECT_EQ(wire, expected);
+}
+
 TEST(Loader, PassiveModeMirrorsStateWithZeroInstrumentation) {
     BlinkerFixture f;
     rt::Target target;

@@ -2,7 +2,9 @@
 // JTAG TAP controller, probe, and the watch poller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 
 #include "link/commands.hpp"
 #include "link/framing.hpp"
@@ -145,6 +147,114 @@ TEST_P(FramingFuzz, RandomPayloadsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FramingFuzz, ::testing::Values(1u, 2u, 3u, 42u, 1234u));
+
+/// Uniform pick in [lo, hi] via modulo, as campaign/generator.cpp draws:
+/// bit-stable across standard libraries.
+int pick(std::mt19937& rng, int lo, int hi) {
+    return lo + static_cast<int>(rng() % static_cast<std::uint32_t>(hi - lo + 1));
+}
+
+/// The bit-at-a-time CRC-16-CCITT that the lookup table precomputes.
+std::uint16_t crc16_bitwise(std::span<const std::uint8_t> data) {
+    std::uint16_t crc = 0xFFFF;
+    for (std::uint8_t byte : data) {
+        crc ^= static_cast<std::uint16_t>(byte << 8);
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 0x8000) != 0 ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                                      : static_cast<std::uint16_t>(crc << 1);
+    }
+    return crc;
+}
+
+TEST(Framing, TableCrcMatchesBitwiseReference) {
+    std::mt19937 rng(17);
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::uint8_t> data(static_cast<std::size_t>(pick(rng, 0, 64)));
+        for (auto& b : data) b = static_cast<std::uint8_t>(pick(rng, 0, 255));
+        ASSERT_EQ(gl::crc16_ccitt(data), crc16_bitwise(data)) << "buffer " << i;
+    }
+}
+
+/// Leading junk, then sixty frames with damage mixed in: flipped bits,
+/// bad escapes (the decoder then hunts over the rest of the frame as
+/// junk) and garbage between frames. `intact` receives the payloads of
+/// the undamaged frames, in order.
+std::vector<std::uint8_t> damaged_stream(std::mt19937& rng,
+                                         std::vector<std::vector<std::uint8_t>>& intact) {
+    std::vector<std::uint8_t> wire{0x00, 0x55, 0xAA};
+    for (int f = 0; f < 60; ++f) {
+        std::vector<std::uint8_t> payload(static_cast<std::size_t>(pick(rng, 1, 20)));
+        for (auto& b : payload) b = static_cast<std::uint8_t>(pick(rng, 0, 255));
+        std::vector<std::uint8_t> frame = gl::frame_payload(payload);
+        const int inner = pick(rng, 1, static_cast<int>(frame.size()) - 2);
+        switch (pick(rng, 0, 3)) {
+        case 0: // flipped bit
+            frame[static_cast<std::size_t>(inner)] ^=
+                static_cast<std::uint8_t>(1u << pick(rng, 0, 7));
+            break;
+        case 1: // bad escape
+            frame.insert(frame.begin() + inner, {gl::kEscape, 0x00});
+            break;
+        case 2: // garbage after the frame
+            frame.insert(frame.end(), {0x11, 0x22, 0x33});
+            intact.push_back(payload);
+            break;
+        default: // intact
+            intact.push_back(payload);
+            break;
+        }
+        wire.insert(wire.end(), frame.begin(), frame.end());
+    }
+    return wire;
+}
+
+/// Feeds `wire` to `feed` in chunks of 1..40 bytes.
+template <class Feed> void feed_chunked(std::mt19937& rng, std::span<const std::uint8_t> wire,
+                                        Feed&& feed) {
+    std::size_t pos = 0;
+    while (pos < wire.size()) {
+        auto n = std::min(static_cast<std::size_t>(pick(rng, 1, 40)), wire.size() - pos);
+        feed(wire.subspan(pos, n));
+        pos += n;
+    }
+}
+
+// The callback path and the take_payloads() adaptor share one state
+// machine: on damaged streams cut into different random chunks they
+// deliver the same payloads (every undamaged frame, in order) and count
+// the same damage.
+TEST(Framing, CallbackAndQueueAgreeOnDamagedStreams) {
+    for (unsigned seed : {1u, 7u, 42u, 1234u}) {
+        std::mt19937 rng(seed);
+        std::vector<std::vector<std::uint8_t>> intact;
+        const std::vector<std::uint8_t> wire = damaged_stream(rng, intact);
+
+        gl::FrameDecoder by_callback;
+        std::vector<std::vector<std::uint8_t>> called;
+        feed_chunked(rng, wire, [&](std::span<const std::uint8_t> chunk) {
+            by_callback.feed(chunk, [&](std::span<const std::uint8_t> payload) {
+                called.emplace_back(payload.begin(), payload.end());
+            });
+        });
+
+        gl::FrameDecoder by_queue;
+        std::vector<std::vector<std::uint8_t>> queued;
+        feed_chunked(rng, wire, [&](std::span<const std::uint8_t> chunk) {
+            by_queue.feed(chunk);
+            if (pick(rng, 0, 1) == 0)
+                for (auto& payload : by_queue.take_payloads()) queued.push_back(std::move(payload));
+        });
+        for (auto& payload : by_queue.take_payloads()) queued.push_back(std::move(payload));
+
+        EXPECT_EQ(called, intact) << "seed " << seed;
+        EXPECT_EQ(called, queued) << "seed " << seed;
+        EXPECT_EQ(by_callback.corrupt_frames(), by_queue.corrupt_frames()) << "seed " << seed;
+        EXPECT_EQ(by_callback.junk_bytes(), by_queue.junk_bytes()) << "seed " << seed;
+        EXPECT_GT(intact.size(), 10u);
+        EXPECT_GT(by_callback.corrupt_frames(), 0u);
+        EXPECT_GT(by_callback.junk_bytes(), 3u); // more than the leading junk
+    }
+}
 
 // --- JTAG -------------------------------------------------------------------
 

@@ -20,6 +20,7 @@
 #include "replay/checkpoint.hpp"
 #include "replay/snapshot.hpp"
 #include "replay/timeline.hpp"
+#include "scene_state.hpp"
 
 namespace gp = gmdf::proto;
 namespace gr = gmdf::replay;
@@ -421,6 +422,56 @@ TEST(Replay, FramesStillMatchLiveAnimation) {
     auto frames = s->session->replay_frames(1);
     ASSERT_FALSE(frames.empty());
     EXPECT_EQ(frames.back(), s->session->render_ascii());
+}
+
+// ---- the view, built on first use -------------------------------------------
+
+// A view built after the run, by re-animating the recorded trace, equals
+// one built before the first event and animated live: after a plain run,
+// and after run, rewind, run (rewind skips the scene rebuild of a session
+// that has no view yet).
+class LateView : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LateView, EqualsAViewAnimatedFromTheStart) {
+    for (bool rewind : {false, true}) {
+        SCOPED_TRACE(rewind ? "run 700, rewind 333, run 250" : "run 700");
+        auto early = gp::make_scenario(GetParam());
+        auto late = gp::make_scenario(GetParam());
+        ASSERT_NE(early, nullptr);
+        ASSERT_NE(late, nullptr);
+        ASSERT_EQ(early->session->trace().size(), 0u);
+        (void)early->session->scene();
+        for (gp::Scenario* s : {early.get(), late.get()}) {
+            expect_ok(*s, "checkpoint auto 100");
+            expect_ok(*s, "run 700");
+            if (rewind) {
+                expect_ok(*s, "rewind 333");
+                expect_ok(*s, "run 250");
+            }
+        }
+        ASSERT_GT(late->session->trace().size(), 0u);
+        ASSERT_FALSE(late->session->view_built());
+        gmdf::test::expect_same_view(*late->session, *early->session);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, LateView,
+                         ::testing::Values("blinker", "turntable", "lift_fault", "gen:3",
+                                           "gen:11:flip-param-sign"));
+
+// Nothing a headless fault hunt does needs the view: a faulted generated
+// twin that is run and bisected builds none until something renders.
+TEST(View, HeadlessFaultedTwinBuildsNone) {
+    auto s = gp::make_scenario("gen:3:wrong-transition-target");
+    ASSERT_NE(s, nullptr);
+    expect_ok(*s, "checkpoint auto 100");
+    expect_ok(*s, "run 600");
+    gr::BisectResult res = s->timeline->bisect();
+    ASSERT_TRUE(res.error.empty()) << res.error;
+    EXPECT_GE(res.probes, 1u);
+    EXPECT_FALSE(s->session->view_built());
+    expect_ok(*s, "render ascii");
+    EXPECT_TRUE(s->session->view_built());
 }
 
 // ---- golden scenario --------------------------------------------------------

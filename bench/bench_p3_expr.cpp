@@ -10,11 +10,11 @@
 // Each workload times the legacy evaluation shape faithfully (the exact
 // lookup closures the kernels used before compilation) against
 // CompiledExpr::run over the same inputs, checks both produce identical
-// results, and reports ns/eval plus the speedup factor.
+// results, and reports ns/eval (median, min and max over the rounds)
+// plus the speedup of the medians.
 //
 // Output: human-readable summary on stdout and a machine-readable JSON
 // report (default BENCH_p3_expr.json, or argv[1]) for CI trend tracking.
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -26,34 +26,17 @@
 #include "expr/parser.hpp"
 
 using namespace gmdf;
+using benchjson::Spread;
+using benchjson::time_ns;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-volatile double g_sink = 0.0; ///< defeats dead-code elimination
-
 struct Result {
     std::string name;
-    double tree_ns = 0.0;
-    double compiled_ns = 0.0;
-    [[nodiscard]] double speedup() const { return tree_ns / compiled_ns; }
+    Spread tree_ns;
+    Spread compiled_ns;
+    [[nodiscard]] double speedup() const { return tree_ns.median / compiled_ns.median; }
 };
-
-/// Best-of-rounds ns-per-call for `fn(i)` driven `iters` times.
-template <typename Fn>
-double time_ns(int iters, int rounds, Fn&& fn) {
-    double best = 1e300;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = Clock::now();
-        double acc = 0.0;
-        for (int i = 0; i < iters; ++i) acc += fn(i);
-        g_sink = acc;
-        auto dt = std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-        best = std::min(best, dt / iters);
-    }
-    return best;
-}
 
 /// The pre-compilation ExprKernel shape: tree-walk with a linear
 /// pin-name scan per VarRef visit.
@@ -91,12 +74,12 @@ Result bench_expression_fb() {
         }
     }
 
-    Result r{"expression_fb_scan"};
-    r.tree_ns = time_ns(200'000, 5, [&](int i) {
+    Result r{"expression_fb_scan", {}, {}};
+    r.tree_ns = time_ns(200'000, [&](int i) {
         fill(i);
         return tree_walk_over_pins(*ast, pins, in.data());
     });
-    r.compiled_ns = time_ns(200'000, 5, [&](int i) {
+    r.compiled_ns = time_ns(200'000, [&](int i) {
         fill(i);
         double y = 0.0;
         (void)compiled.run(in, y);
@@ -147,14 +130,14 @@ Result bench_sm_guards() {
         }
     }
 
-    Result r{"sm_guard_scan"};
-    r.tree_ns = time_ns(100'000, 5, [&](int i) {
+    Result r{"sm_guard_scan", {}, {}};
+    r.tree_ns = time_ns(100'000, [&](int i) {
         fill(i);
         double hits = 0.0;
         for (const auto& ast : asts) hits += expr::eval_bool(*ast, lookup_env) ? 1.0 : 0.0;
         return hits;
     });
-    r.compiled_ns = time_ns(100'000, 5, [&](int i) {
+    r.compiled_ns = time_ns(100'000, [&](int i) {
         fill(i);
         double hits = 0.0;
         for (const auto& ce : compiled) {
@@ -228,12 +211,12 @@ Result bench_breakpoint_predicate() {
         }
     }
 
-    Result r{"breakpoint_predicate_sweep"};
-    r.tree_ns = time_ns(100'000, 5, [&](int i) {
+    Result r{"breakpoint_predicate_sweep", {}, {}};
+    r.tree_ns = time_ns(100'000, [&](int i) {
         fill(i);
         return legacy_eval() ? 1.0 : 0.0;
     });
-    r.compiled_ns = time_ns(100'000, 5, [&](int i) {
+    r.compiled_ns = time_ns(100'000, [&](int i) {
         fill(i);
         double y = 0.0;
         return compiled.run(slots, y) == expr::VmStatus::Ok && y != 0.0 ? 1.0 : 0.0;
@@ -254,20 +237,19 @@ int main(int argc, char** argv) {
     std::printf("%-28s %14s %14s %10s\n", "workload", "tree ns/eval", "vm ns/eval",
                 "speedup");
     for (const auto& r : results)
-        std::printf("%-28s %14.1f %14.1f %9.1fx\n", r.name.c_str(), r.tree_ns,
-                    r.compiled_ns, r.speedup());
+        std::printf("%-28s %14.1f %14.1f %9.1fx\n", r.name.c_str(), r.tree_ns.median,
+                    r.compiled_ns.median, r.speedup());
 
-    gmdf::benchjson::Writer w;
-    w.begin_object();
-    w.kv("bench", "p3_expr");
+    benchjson::Writer w;
+    benchjson::begin_report(w, "p3_expr");
     w.kv("unit", "ns_per_eval");
     w.key("workloads");
     w.begin_array();
     for (const Result& r : results) {
         w.begin_object(/*compact=*/true);
         w.kv("name", r.name);
-        w.kv("tree_walk", r.tree_ns, 1);
-        w.kv("compiled", r.compiled_ns, 1);
+        w.spread("tree_walk", r.tree_ns, 1);
+        w.spread("compiled", r.compiled_ns, 1);
         w.kv("speedup", r.speedup(), 2);
         w.end_object();
     }

@@ -1,7 +1,8 @@
 // P5 — the network debug service under load: an in-process net::Server
 // (the same epoll event loop gmdf_serve runs) against a non-blocking
 // loopback load generator at rising connection counts. Reports sustained
-// requests/sec and p50/p99 request latency per level; writes
+// requests/sec and p50/p99 request latency per level, each the spread of
+// kRepeats runs that dial their connections afresh; writes
 // BENCH_p5_net.json (CI smoke step).
 //
 // The generator keeps every connection's next request in flight the
@@ -34,7 +35,9 @@
 #include "net/server.hpp"
 
 using namespace gmdf;
-using Clock = std::chrono::steady_clock;
+using benchjson::Clock;
+using benchjson::kRepeats;
+using benchjson::spread_of;
 
 namespace {
 
@@ -56,11 +59,9 @@ struct LoadClient {
     int mix = 0;
 };
 
-struct LevelResult {
-    int connections = 0;
+/// One run of one level.
+struct LevelRun {
     int connected = 0;
-    std::uint64_t requests = 0;
-    double seconds = 0;
     double rps = 0;
     double p50_us = 0;
     double p99_us = 0;
@@ -134,10 +135,7 @@ void consume_frames(LoadClient& c, bool record, std::vector<double>& latencies) 
         case net::FrameType::Done:
             if (c.st == LoadClient::St::Waiting) {
                 ++c.completed;
-                if (record)
-                    latencies.push_back(std::chrono::duration<double, std::micro>(
-                                            Clock::now() - c.sent_at)
-                                            .count());
+                if (record) latencies.push_back(benchjson::us_since(c.sent_at));
                 c.st = LoadClient::St::Idle;
             }
             break;
@@ -151,7 +149,7 @@ void consume_frames(LoadClient& c, bool record, std::vector<double>& latencies) 
     }
 }
 
-LevelResult run_level(std::uint16_t port, int connections, double seconds) {
+LevelRun run_level(std::uint16_t port, int connections, double seconds) {
     std::vector<LoadClient> clients(static_cast<std::size_t>(connections));
     std::vector<double> latencies;
     latencies.reserve(1 << 16);
@@ -260,28 +258,43 @@ LevelResult run_level(std::uint16_t port, int connections, double seconds) {
         }
     }
 
-    LevelResult r;
-    r.connections = connections;
+    LevelRun r;
     for (auto& c : clients) {
         if (c.st != LoadClient::St::Dead && c.fd >= 0) ++r.connected;
         kill_client(c);
     }
-    r.requests = latencies.size();
-    r.seconds = measuring
-                    ? std::chrono::duration<double>(Clock::now() - t0).count()
-                    : 0.0;
-    r.rps = r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds : 0.0;
-    if (!latencies.empty()) {
-        auto pct = [&](double q) {
-            auto nth = latencies.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           q * static_cast<double>(latencies.size() - 1));
-            std::nth_element(latencies.begin(), nth, latencies.end());
-            return *nth;
-        };
-        r.p50_us = pct(0.50);
-        r.p99_us = pct(0.99);
+    const double elapsed = measuring ? benchjson::us_since(t0) / 1e6 : 0.0;
+    r.rps = elapsed > 0 ? static_cast<double>(latencies.size()) / elapsed : 0.0;
+    r.p50_us = benchjson::percentile(latencies, 0.50);
+    r.p99_us = benchjson::percentile(latencies, 0.99);
+    return r;
+}
+
+struct LevelResult {
+    int connections = 0;
+    int connected = 0; ///< the fewest any repeat held open
+    benchjson::Spread rps;
+    benchjson::Spread p50_us;
+    benchjson::Spread p99_us;
+};
+
+LevelResult bench_level(std::uint16_t port, int connections, double seconds) {
+    LevelResult r;
+    r.connections = connections;
+    r.connected = connections;
+    std::vector<double> rps, p50, p99;
+    for (int i = 0; i < kRepeats; ++i) {
+        const LevelRun run = run_level(port, connections, seconds);
+        r.connected = std::min(r.connected, run.connected);
+        rps.push_back(run.rps);
+        p50.push_back(run.p50_us);
+        p99.push_back(run.p99_us);
+        // Let the server sweep the closed fds before the next wave dials.
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
+    r.rps = spread_of(rps);
+    r.p50_us = spread_of(p50);
+    r.p99_us = spread_of(p99);
     return r;
 }
 
@@ -326,16 +339,13 @@ int main(int argc, char** argv) {
     if (top > levels.back()) levels.push_back(top);
 
     std::vector<LevelResult> results;
-    std::printf("%12s %10s %12s %10s %12s %12s\n", "connections", "connected",
-                "requests", "rps", "p50 us", "p99 us");
+    std::printf("%12s %10s %10s %12s %12s\n", "connections", "connected", "rps",
+                "p50 us", "p99 us");
     for (int level : levels) {
-        results.push_back(run_level(server.port(), level, seconds));
+        results.push_back(bench_level(server.port(), level, seconds));
         const auto& r = results.back();
-        std::printf("%12d %10d %12llu %10.0f %12.1f %12.1f\n", r.connections,
-                    r.connected, static_cast<unsigned long long>(r.requests),
-                    r.rps, r.p50_us, r.p99_us);
-        // Let the server sweep the closed fds before the next wave dials.
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        std::printf("%12d %10d %10.0f %12.1f %12.1f\n", r.connections, r.connected,
+                    r.rps.median, r.p50_us.median, r.p99_us.median);
     }
 
     stop.store(true);
@@ -348,20 +358,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.events_dropped));
     server.stop();
 
-    gmdf::benchjson::Writer w;
-    w.begin_object();
-    w.kv("bench", "p5_net");
+    benchjson::Writer w;
+    benchjson::begin_report(w, "p5_net");
     w.key("levels");
     w.begin_array();
     for (const auto& r : results) {
         w.begin_object(/*compact=*/true);
         w.kv("connections", r.connections);
         w.kv("connected", r.connected);
-        w.kv("requests", r.requests);
-        w.kv("seconds", r.seconds, 2);
-        w.kv("rps", r.rps, 0);
-        w.kv("p50_us", r.p50_us, 1);
-        w.kv("p99_us", r.p99_us, 1);
+        w.spread("rps", r.rps, 0);
+        w.spread("p50_us", r.p50_us, 1);
+        w.spread("p99_us", r.p99_us, 1);
         w.end_object();
     }
     w.end_array();

@@ -4,19 +4,17 @@
 // sessions per wall-second, a mid-pump fairness snapshot (min/max
 // simulated time any session has consumed when the first one crosses
 // the halfway mark — a starving fleet shows a wide spread), and steal
-// counts; then the end-to-end campaign rate at 1 and 4 threads against
-// BENCH_p6's serial baseline. Writes BENCH_p7_shard.json (CI smoke
-// step).
+// counts; then the end-to-end campaign rate at 1 and 4 threads. Each
+// row runs kRepeats times. Writes BENCH_p7_shard.json (CI smoke step).
 //
-// Thread scaling is hardware-bound: the JSON carries a "cpus" field so
-// a single-core container's flat curve is not mistaken for a scheduler
-// defect. CI's multi-core runners regenerate the scaling numbers.
+// Thread scaling is hardware-bound: read the curve against the report's
+// host.cpus, so a single-core container's flat curve is not mistaken for
+// a scheduler defect.
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -29,13 +27,13 @@
 #include "proto/scenarios.hpp"
 
 using namespace gmdf;
-using Clock = std::chrono::steady_clock;
+using benchjson::Clock;
+using benchjson::kRepeats;
+using benchjson::Spread;
+using benchjson::spread_of;
+using benchjson::us_since;
 
 namespace {
-
-double us_since(Clock::time_point t0) {
-    return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-}
 
 /// A minimal scripted session: one actor, a couple of transport events.
 /// Cheap enough that the fleet bench measures scheduler bookkeeping and
@@ -57,19 +55,15 @@ std::unique_ptr<proto::Scenario> scripted_scenario(int index) {
     return scenario;
 }
 
-struct FleetRate {
-    std::string name;
-    int sessions = 0;
-    int threads = 0;
+/// One pump of a freshly built fleet.
+struct FleetRun {
     double total_ms = 0;
-    double sessions_per_s = 0; ///< fleet size / wall time for the fixed span
-    double slices_per_s = 0;
     std::uint64_t steals = 0;
     double fairness_min_ms = 0; ///< least-served session at the half-way sample
     double fairness_max_ms = 0; ///< most-served session at the same instant
 };
 
-FleetRate bench_fleet(int sessions, int threads) {
+FleetRun pump_fleet(int sessions, int threads) {
     constexpr rt::SimTime kSpan = 100 * rt::kMs;
 
     hub::SessionRegistry registry;
@@ -109,18 +103,46 @@ FleetRate bench_fleet(int sessions, int threads) {
 
     auto t0 = Clock::now();
     scheduler.pump(registry, kSpan, hook);
-    const double total_ms = us_since(t0) / 1000.0;
 
+    FleetRun run;
+    run.total_ms = us_since(t0) / 1000.0;
+    run.steals = scheduler.total_steals();
+    run.fairness_min_ms = static_cast<double>(sample_min) / rt::kMs;
+    run.fairness_max_ms = static_cast<double>(sample_max) / rt::kMs;
+    return run;
+}
+
+/// Every session gets kSpan / budget slices, so slices/s is a fixed
+/// multiple of sessions/s and is not reported on its own.
+struct FleetRate {
+    std::string name;
+    int sessions = 0;
+    int threads = 0;
+    Spread total_ms;
+    Spread sessions_per_s; ///< fleet size / wall time for the fixed span
+    Spread steals;
+    double fairness_min_ms = 0; ///< FleetRun's, lowest over the repeats
+    double fairness_max_ms = 0; ///< FleetRun's, highest over the repeats
+};
+
+FleetRate bench_fleet(int sessions, int threads) {
     FleetRate r;
     r.name = "fleet_" + std::to_string(sessions) + "_t" + std::to_string(threads);
     r.sessions = sessions;
     r.threads = threads;
-    r.total_ms = total_ms;
-    r.sessions_per_s = sessions / (total_ms / 1000.0);
-    r.slices_per_s = static_cast<double>(scheduler.total_slices()) / (total_ms / 1000.0);
-    r.steals = scheduler.total_steals();
-    r.fairness_min_ms = static_cast<double>(sample_min) / rt::kMs;
-    r.fairness_max_ms = static_cast<double>(sample_max) / rt::kMs;
+    std::vector<double> total_ms, rate, steals;
+    for (int i = 0; i < kRepeats; ++i) {
+        const FleetRun run = pump_fleet(sessions, threads);
+        total_ms.push_back(run.total_ms);
+        rate.push_back(sessions / (run.total_ms / 1000.0));
+        steals.push_back(static_cast<double>(run.steals));
+        r.fairness_min_ms = i == 0 ? run.fairness_min_ms
+                                   : std::min(r.fairness_min_ms, run.fairness_min_ms);
+        r.fairness_max_ms = std::max(r.fairness_max_ms, run.fairness_max_ms);
+    }
+    r.total_ms = spread_of(total_ms);
+    r.sessions_per_s = spread_of(rate);
+    r.steals = spread_of(steals);
     return r;
 }
 
@@ -128,9 +150,8 @@ struct CampaignRate {
     std::string name;
     int pairs = 0;
     int threads = 0;
-    double total_ms = 0;
-    double pair_ms = 0;
-    double pairs_per_s = 0;
+    Spread total_ms;
+    Spread pairs_per_s;
 };
 
 CampaignRate bench_campaign(int pairs, int threads) {
@@ -139,26 +160,21 @@ CampaignRate bench_campaign(int pairs, int threads) {
     cfg.seed = 1;
     cfg.threads = threads;
 
-    auto t0 = Clock::now();
-    auto report = campaign::run_campaign(cfg);
-    const double total_ms = us_since(t0) / 1000.0;
-    (void)report;
-
-    CampaignRate r;
-    r.name = "campaign_" + std::to_string(pairs) + "_wave8_t" + std::to_string(threads);
-    r.pairs = pairs;
-    r.threads = threads;
-    r.total_ms = total_ms;
-    r.pair_ms = total_ms / pairs;
-    r.pairs_per_s = pairs / (total_ms / 1000.0);
-    return r;
+    std::vector<double> total_ms, rate;
+    for (int i = 0; i < kRepeats; ++i) {
+        auto t0 = Clock::now();
+        (void)campaign::run_campaign(cfg);
+        total_ms.push_back(us_since(t0) / 1000.0);
+        rate.push_back(pairs / (total_ms.back() / 1000.0));
+    }
+    return {"campaign_" + std::to_string(pairs) + "_wave8_t" + std::to_string(threads),
+            pairs, threads, spread_of(total_ms), spread_of(rate)};
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
     const char* out_path = argc > 1 ? argv[1] : "BENCH_p7_shard.json";
-    const unsigned cpus = std::thread::hardware_concurrency();
 
     std::vector<FleetRate> fleets;
     for (int sessions : {512, 1024, 2048, 4096})
@@ -169,26 +185,20 @@ int main(int argc, char** argv) {
     campaigns.push_back(bench_campaign(200, 1));
     campaigns.push_back(bench_campaign(200, 4));
 
-    std::printf("cpus %u\n\n", cpus);
-    std::printf("%-16s %8s %8s %10s %12s %12s %8s %16s\n", "fleet", "sessions",
-                "threads", "total ms", "sessions/s", "slices/s", "steals",
-                "fair min/max ms");
+    std::printf("%-16s %8s %8s %10s %12s %8s %16s\n", "fleet", "sessions", "threads",
+                "total ms", "sessions/s", "steals", "fair min/max ms");
     for (const auto& f : fleets)
-        std::printf("%-16s %8d %8d %10.1f %12.0f %12.0f %8llu %8.0f/%.0f\n",
-                    f.name.c_str(), f.sessions, f.threads, f.total_ms,
-                    f.sessions_per_s, f.slices_per_s,
-                    static_cast<unsigned long long>(f.steals), f.fairness_min_ms,
-                    f.fairness_max_ms);
-    std::printf("\n%-24s %8s %8s %10s %10s %10s\n", "campaign", "pairs", "threads",
-                "total ms", "pair ms", "pairs/s");
+        std::printf("%-16s %8d %8d %10.1f %12.0f %8.0f %8.0f/%.0f\n", f.name.c_str(),
+                    f.sessions, f.threads, f.total_ms.median, f.sessions_per_s.median,
+                    f.steals.median, f.fairness_min_ms, f.fairness_max_ms);
+    std::printf("\n%-24s %8s %8s %10s %10s\n", "campaign", "pairs", "threads",
+                "total ms", "pairs/s");
     for (const auto& c : campaigns)
-        std::printf("%-24s %8d %8d %10.1f %10.2f %10.1f\n", c.name.c_str(), c.pairs,
-                    c.threads, c.total_ms, c.pair_ms, c.pairs_per_s);
+        std::printf("%-24s %8d %8d %10.1f %10.1f\n", c.name.c_str(), c.pairs, c.threads,
+                    c.total_ms.median, c.pairs_per_s.median);
 
-    gmdf::benchjson::Writer w;
-    w.begin_object();
-    w.kv("bench", "p7_shard");
-    w.kv("cpus", cpus);
+    benchjson::Writer w;
+    benchjson::begin_report(w, "p7_shard");
     w.key("fleet");
     w.begin_array();
     for (const auto& r : fleets) {
@@ -196,10 +206,9 @@ int main(int argc, char** argv) {
         w.kv("name", r.name);
         w.kv("sessions", r.sessions);
         w.kv("threads", r.threads);
-        w.kv("total_ms", r.total_ms, 1);
-        w.kv("sessions_per_s", r.sessions_per_s, 0);
-        w.kv("slices_per_s", r.slices_per_s, 0);
-        w.kv("steals", r.steals);
+        w.spread("total_ms", r.total_ms, 1);
+        w.spread("sessions_per_s", r.sessions_per_s, 0);
+        w.spread("steals", r.steals, 0);
         w.kv("fairness_min_ms", r.fairness_min_ms, 0);
         w.kv("fairness_max_ms", r.fairness_max_ms, 0);
         w.end_object();
@@ -212,9 +221,8 @@ int main(int argc, char** argv) {
         w.kv("name", c.name);
         w.kv("pairs", c.pairs);
         w.kv("threads", c.threads);
-        w.kv("total_ms", c.total_ms, 1);
-        w.kv("pair_ms", c.pair_ms, 2);
-        w.kv("pairs_per_s", c.pairs_per_s, 1);
+        w.spread("total_ms", c.total_ms, 1);
+        w.spread("pairs_per_s", c.pairs_per_s, 1);
         w.end_object();
     }
     w.end_array();

@@ -4,8 +4,10 @@
 // (0% / 1% / 10% of forwarded chunks). Reports sustained requests/sec
 // and p50/p99 request latency per level — the p99 is where torn
 // frames, stalls, and redials live — plus the mean
-// reconnect-and-resume latency (dial + handshake + re-attach). Writes
-// BENCH_p8_chaos.json (CI smoke step).
+// reconnect-and-resume latency (dial + handshake + re-attach). Each
+// level runs kRepeats times on a fresh hub, server and proxy with the
+// same fault seed: rates and latencies are spreads over the repeats,
+// counts are their totals. Writes BENCH_p8_chaos.json (CI smoke step).
 //
 // Requests are read-mostly (query signal) so the levels measure the
 // protocol and recovery path, not simulation cost. Every client rides
@@ -13,7 +15,6 @@
 // structured error (a corrupted byte diagnosed downstream) still
 // counts as a completed round trip — that is the designed degraded
 // mode, and its latency belongs in the distribution.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -28,20 +29,21 @@
 #include "net/server.hpp"
 
 using namespace gmdf;
-using Clock = std::chrono::steady_clock;
+using benchjson::Clock;
+using benchjson::kRepeats;
+using benchjson::spread_of;
 
 namespace {
 
 constexpr int kClients = 8;
 constexpr double kSeconds = 2.0;
 
-struct LevelResult {
-    double fault_rate = 0.0;
+/// One run of one level.
+struct LevelRun {
     std::uint64_t requests = 0;
     std::uint64_t errors = 0;
     std::uint64_t reconnects = 0;
     std::uint64_t lost_clients = 0;
-    double seconds = 0.0;
     double rps = 0.0;
     double p50_us = 0.0;
     double p99_us = 0.0;
@@ -49,15 +51,8 @@ struct LevelResult {
     net::ChaosStats proxy;
 };
 
-double percentile(std::vector<double>& sorted_us, double p) {
-    if (sorted_us.empty()) return 0.0;
-    std::size_t idx = static_cast<std::size_t>(p * static_cast<double>(sorted_us.size() - 1));
-    return sorted_us[idx];
-}
-
-LevelResult run_level(double fault_rate, std::uint32_t seed) {
-    LevelResult result;
-    result.fault_rate = fault_rate;
+LevelRun run_level(double fault_rate, std::uint32_t seed) {
+    LevelRun result;
 
     hub::HubController hub;
     for (int i = 0; i < kClients; ++i)
@@ -124,12 +119,7 @@ LevelResult run_level(double fault_rate, std::uint32_t seed) {
                 const Clock::time_point t0 = Clock::now();
                 proto::Response resp = channel->execute_line("query signal led");
                 (void)channel->drain_event_lines();
-                const double us =
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                         t0)
-                        .count() /
-                    1000.0;
-                tally.latencies_us.push_back(us);
+                tally.latencies_us.push_back(benchjson::us_since(t0));
                 ++tally.requests;
                 // A disconnected channel after an error response is
                 // normal here — a protocol-error reply closes the
@@ -146,10 +136,7 @@ LevelResult run_level(double fault_rate, std::uint32_t seed) {
     }
     const Clock::time_point start = Clock::now();
     for (std::thread& t : workers) t.join();
-    result.seconds =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
-            .count() /
-        1e9;
+    const double seconds = benchjson::us_since(start) / 1e6;
 
     stop_proxy.store(true);
     proxy_thread.join();
@@ -167,18 +154,55 @@ LevelResult run_level(double fault_rate, std::uint32_t seed) {
         all_us.insert(all_us.end(), tally.latencies_us.begin(),
                       tally.latencies_us.end());
     }
-    std::sort(all_us.begin(), all_us.end());
-    result.rps = result.seconds > 0 ? static_cast<double>(result.requests) /
-                                          result.seconds
-                                    : 0.0;
-    result.p50_us = percentile(all_us, 0.50);
-    result.p99_us = percentile(all_us, 0.99);
+    result.rps = seconds > 0 ? static_cast<double>(result.requests) / seconds : 0.0;
+    result.p50_us = benchjson::percentile(all_us, 0.50);
+    result.p99_us = benchjson::percentile(all_us, 0.99);
     result.mean_resume_us =
         result.reconnects > 0
             ? static_cast<double>(resume_us) / static_cast<double>(result.reconnects)
             : 0.0;
     result.proxy = proxy.stats();
     return result;
+}
+
+struct LevelResult {
+    double fault_rate = 0.0;
+    std::uint64_t requests = 0;
+    std::uint64_t errors = 0;
+    std::uint64_t reconnects = 0;
+    std::uint64_t lost_clients = 0;
+    benchjson::Spread rps;
+    benchjson::Spread p50_us;
+    benchjson::Spread p99_us;
+    benchjson::Spread mean_resume_us;
+    net::ChaosStats proxy;
+};
+
+LevelResult bench_level(double fault_rate, std::uint32_t seed) {
+    LevelResult r;
+    r.fault_rate = fault_rate;
+    std::vector<double> rps, p50, p99, resume;
+    for (int i = 0; i < kRepeats; ++i) {
+        const LevelRun run = run_level(fault_rate, seed);
+        r.requests += run.requests;
+        r.errors += run.errors;
+        r.reconnects += run.reconnects;
+        r.lost_clients += run.lost_clients;
+        r.proxy.chunks += run.proxy.chunks;
+        r.proxy.torn += run.proxy.torn;
+        r.proxy.stalls += run.proxy.stalls;
+        r.proxy.disconnects += run.proxy.disconnects;
+        r.proxy.corruptions += run.proxy.corruptions;
+        rps.push_back(run.rps);
+        p50.push_back(run.p50_us);
+        p99.push_back(run.p99_us);
+        resume.push_back(run.mean_resume_us);
+    }
+    r.rps = spread_of(rps);
+    r.p50_us = spread_of(p50);
+    r.p99_us = spread_of(p99);
+    r.mean_resume_us = spread_of(resume);
+    return r;
 }
 
 } // namespace
@@ -189,20 +213,19 @@ int main(int argc, char** argv) {
 
     std::vector<LevelResult> levels;
     for (double rate : rates) {
-        LevelResult level = run_level(rate, /*seed=*/42);
+        LevelResult level = bench_level(rate, /*seed=*/42);
         std::printf("fault %4.1f%%: %8.0f req/s  p50 %8.1f us  p99 %9.1f us  "
                     "%llu reconnects (mean resume %.0f us)  %llu errors  %llu lost\n",
-                    rate * 100.0, level.rps, level.p50_us, level.p99_us,
-                    static_cast<unsigned long long>(level.reconnects),
-                    level.mean_resume_us,
+                    rate * 100.0, level.rps.median, level.p50_us.median,
+                    level.p99_us.median, static_cast<unsigned long long>(level.reconnects),
+                    level.mean_resume_us.median,
                     static_cast<unsigned long long>(level.errors),
                     static_cast<unsigned long long>(level.lost_clients));
         levels.push_back(level);
     }
 
-    gmdf::benchjson::Writer w;
-    w.begin_object();
-    w.kv("bench", "p8_chaos");
+    benchjson::Writer w;
+    benchjson::begin_report(w, "p8_chaos");
     w.kv("clients", kClients);
     w.key("levels");
     w.begin_array();
@@ -211,12 +234,11 @@ int main(int argc, char** argv) {
         w.kv("fault_rate", level.fault_rate, 2);
         w.kv("requests", level.requests);
         w.kv("errors", level.errors);
-        w.kv("seconds", level.seconds, 2);
-        w.kv("rps", level.rps, 0);
-        w.kv("p50_us", level.p50_us, 1);
-        w.kv("p99_us", level.p99_us, 1);
+        w.spread("rps", level.rps, 0);
+        w.spread("p50_us", level.p50_us, 1);
+        w.spread("p99_us", level.p99_us, 1);
         w.kv("reconnects", level.reconnects);
-        w.kv("mean_resume_us", level.mean_resume_us, 0);
+        w.spread("mean_resume_us", level.mean_resume_us, 0);
         w.kv("lost_clients", level.lost_clients);
         w.key("proxy");
         w.begin_object();

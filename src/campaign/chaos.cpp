@@ -24,6 +24,13 @@ const char* to_string(ChaosOutcome outcome) {
 
 namespace {
 
+/// How long the proxy parks a stalled chunk.
+constexpr int kStallMs = 3;
+/// Redial policy handed to every client channel; the initial dial
+/// retries as often.
+constexpr int kReconnectAttempts = 8;
+constexpr int kReconnectBaseDelayMs = 2;
+
 /// The per-client .gds workload. Sessions are pre-opened on the hub (so
 /// a proxy cut cannot destroy them — the server only releases sessions
 /// a connection itself opened), and the attach is what the channel's
@@ -101,7 +108,7 @@ ChaosReport run_chaos_campaign(const ChaosCampaignConfig& cfg) {
     proxy_cfg.upstream_port = server.port();
     proxy_cfg.seed = cfg.seed;
     proxy_cfg.fault_rate = cfg.fault_rate;
-    proxy_cfg.stall_ms = cfg.stall_ms;
+    proxy_cfg.stall_ms = kStallMs;
     net::ChaosProxy proxy(proxy_cfg);
     std::atomic<bool> stop_proxy{false};
     std::thread proxy_thread;
@@ -120,12 +127,12 @@ ChaosReport run_chaos_campaign(const ChaosCampaignConfig& cfg) {
                 // number of times the channel itself would redial.
                 std::unique_ptr<net::Channel> channel;
                 std::string dial_error;
-                for (int attempt = 0; attempt < cfg.reconnect_attempts; ++attempt) {
+                for (int attempt = 0; attempt < kReconnectAttempts; ++attempt) {
                     channel = net::Channel::connect("127.0.0.1", proxy.port(),
                                                     &dial_error);
                     if (channel != nullptr) break;
                     std::this_thread::sleep_for(std::chrono::milliseconds(
-                        cfg.reconnect_base_delay_ms * (attempt + 1)));
+                        kReconnectBaseDelayMs * (attempt + 1)));
                 }
                 if (channel == nullptr) {
                     result.outcome = ChaosOutcome::Lost;
@@ -133,8 +140,8 @@ ChaosReport run_chaos_campaign(const ChaosCampaignConfig& cfg) {
                     return;
                 }
                 net::Channel::ReconnectConfig rc;
-                rc.max_attempts = cfg.reconnect_attempts;
-                rc.base_delay_ms = cfg.reconnect_base_delay_ms;
+                rc.max_attempts = kReconnectAttempts;
+                rc.base_delay_ms = kReconnectBaseDelayMs;
                 rc.max_delay_ms = 250;
                 // Decorrelate the clients' backoff without decoupling
                 // the run from its seed.

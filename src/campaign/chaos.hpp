@@ -41,10 +41,6 @@ struct ChaosCampaignConfig {
     int rounds = 6;           ///< run/query rounds per client workload
     std::uint32_t seed = 1;   ///< proxy fault schedule + client jitter seeds
     double fault_rate = 0.10; ///< per-chunk fault probability at the proxy
-    int stall_ms = 3;
-    /// Redial policy handed to every client channel.
-    int reconnect_attempts = 8;
-    int reconnect_base_delay_ms = 2;
 };
 
 enum class ChaosOutcome { Clean, Resumed, Degraded, Lost };

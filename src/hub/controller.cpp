@@ -1,7 +1,9 @@
 #include "hub/controller.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "campaign/runner.hpp"
@@ -717,16 +719,7 @@ proto::Response HubController::cmd_campaign(const proto::Request& req, RouteCont
         if (req.args.size() < 2 || req.args.size() > 3)
             return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                                "usage: campaign run <pairs> [seed]");
-        auto parse_u32 = [](const std::string& text) -> std::optional<std::uint32_t> {
-            if (text.empty() || text.size() > 9) return std::nullopt;
-            std::uint32_t v = 0;
-            for (char c : text) {
-                if (c < '0' || c > '9') return std::nullopt;
-                v = v * 10 + static_cast<std::uint32_t>(c - '0');
-            }
-            return v;
-        };
-        auto pairs = parse_u32(req.args[1]);
+        auto pairs = proto::parse_u64(req.args[1]);
         if (!pairs.has_value() || *pairs < 1 || *pairs > 5000)
             return proto::Response::make_error(
                 proto::ErrorCode::BadArgument,
@@ -734,12 +727,12 @@ proto::Response HubController::cmd_campaign(const proto::Request& req, RouteCont
         campaign::CampaignConfig cfg;
         cfg.pairs = static_cast<int>(*pairs);
         if (req.args.size() == 3) {
-            auto seed = parse_u32(req.args[2]);
-            if (!seed.has_value())
+            auto seed = proto::parse_u64(req.args[2]);
+            if (!seed.has_value() || *seed > std::numeric_limits<std::uint32_t>::max())
                 return proto::Response::make_error(
                     proto::ErrorCode::BadArgument,
-                    "seed '" + req.args[2] + "' must be a non-negative integer");
-            cfg.seed = *seed;
+                    "seed '" + req.args[2] + "' must be an integer in [0, 4294967295]");
+            cfg.seed = static_cast<std::uint32_t>(*seed);
         }
         last_campaign_ =
             std::make_unique<campaign::CampaignReport>(campaign::run_campaign(cfg));

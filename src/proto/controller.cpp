@@ -48,22 +48,6 @@ std::optional<double> parse_number(const std::string& token) {
     return v;
 }
 
-/// Parses a non-negative integer token in full; nullopt on junk —
-/// including fractional input, so "remove 1.9" cannot silently act on
-/// breakpoint 1.
-std::optional<std::uint64_t> parse_index(const std::string& token) {
-    if (token.empty()) return std::nullopt;
-    std::uint64_t v = 0;
-    for (char c : token) {
-        if (c < '0' || c > '9') return std::nullopt;
-        auto digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-            return std::nullopt; // overflow would wrap to a different index
-        v = v * 10 + digit;
-    }
-    return v;
-}
-
 /// The COMDES metaclass to resolve against, or null for generic models.
 const meta::MetaClass* comdes_class(const meta::Model& design,
                                     const meta::MetaClass* cls) {
@@ -77,7 +61,7 @@ const meta::MObject* resolve_element(const meta::Model& design,
                                      const meta::MetaClass* cls,
                                      const std::string& token) {
     if (!token.empty() && token.front() == '#') {
-        auto raw = parse_index(token.substr(1));
+        auto raw = parse_u64(token.substr(1));
         if (!raw.has_value()) return nullptr;
         const meta::MObject* obj = design.get(meta::ObjectId{*raw});
         if (obj != nullptr && cls != nullptr && !obj->meta_class().is_subtype_of(*cls))
@@ -389,7 +373,7 @@ Response SessionController::cmd_break(const Request& req) {
 
     if (sub == "remove") {
         if (req.args.size() != 2) return bad_args("break remove <handle>");
-        auto handle = parse_index(req.args[1]);
+        auto handle = parse_u64(req.args[1]);
         if (!handle.has_value())
             return Response::make_error(ErrorCode::BadArgument,
                                         "'" + req.args[1] + "' is not a handle");
@@ -561,7 +545,7 @@ Response SessionController::cmd_trace(const Request& req) {
         if (req.args.size() > 2) return bad_args("trace timing [columns]");
         std::size_t columns = 64;
         if (req.args.size() == 2) {
-            auto n = parse_index(req.args[1]);
+            auto n = parse_u64(req.args[1]);
             if (!n.has_value() || *n < 8)
                 return Response::make_error(ErrorCode::BadArgument,
                                             "'" + req.args[1] +
@@ -621,7 +605,7 @@ Response SessionController::cmd_replay(const Request& req) {
     if (req.args.size() > 1) return bad_args("replay [stride]");
     std::size_t stride = 1;
     if (!req.args.empty()) {
-        auto n = parse_index(req.args[0]);
+        auto n = parse_u64(req.args[0]);
         if (!n.has_value() || *n < 1)
             return Response::make_error(ErrorCode::BadArgument,
                                         "'" + req.args[0] + "' is not a stride (>= 1)");
@@ -719,7 +703,7 @@ Response SessionController::cmd_checkpoint(const Request& req) {
 
     if (sub == "limit") {
         if (req.args.size() != 2) return bad_args("checkpoint limit <bytes>");
-        auto bytes = parse_index(req.args[1]);
+        auto bytes = parse_u64(req.args[1]);
         if (!bytes.has_value() || *bytes == 0)
             return Response::make_error(ErrorCode::BadArgument,
                                         "'" + req.args[1] +
@@ -751,7 +735,7 @@ Response SessionController::cmd_step_back(const Request& req) {
     if (req.args.size() > 1) return bad_args("step-back [n]");
     std::size_t n = 1;
     if (!req.args.empty()) {
-        auto parsed = parse_index(req.args[0]);
+        auto parsed = parse_u64(req.args[0]);
         if (!parsed.has_value() || *parsed < 1)
             return Response::make_error(ErrorCode::BadArgument,
                                         "'" + req.args[0] + "' is not a count (>= 1)");

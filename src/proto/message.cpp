@@ -1,6 +1,7 @@
 #include "proto/message.hpp"
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 
 namespace gmdf::proto {
@@ -128,6 +129,19 @@ std::string quote_token(std::string_view token) {
     }
     out.push_back('"');
     return out;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+    if (text.empty()) return std::nullopt;
+    std::uint64_t v = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9') return std::nullopt;
+        auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+            return std::nullopt;
+        v = v * 10 + digit;
+    }
+    return v;
 }
 
 std::string format_request(const Request& req) {

@@ -18,6 +18,7 @@
 // the wire.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -124,5 +125,11 @@ inline constexpr std::size_t kMaxRequestLine = 16 * 1024;
 
 /// Quotes `token` if needed so it survives tokenization as one argument.
 [[nodiscard]] std::string quote_token(std::string_view token);
+
+/// Parses a non-negative decimal integer argument in full; nullopt on
+/// anything else — empty, a sign, a fraction (so "remove 1.9" cannot
+/// act on breakpoint 1), junk — and on values past UINT64_MAX, which
+/// would otherwise wrap to a different number. Callers bound the value.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 } // namespace gmdf::proto

@@ -1,6 +1,7 @@
 #include "proto/scenarios.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "codegen/faults.hpp"
@@ -93,17 +94,6 @@ void build_lift(Scenario& s) {
     s.stimuli.push_back({at_floor, 0.0, 360 * rt::kMs, 0});
 }
 
-/// Parses a decimal seed; nullopt when `text` is empty or not all digits.
-std::optional<std::uint32_t> parse_seed(std::string_view text) {
-    if (text.empty() || text.size() > 9) return std::nullopt;
-    std::uint32_t value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9') return std::nullopt;
-        value = value * 10 + static_cast<std::uint32_t>(c - '0');
-    }
-    return value;
-}
-
 } // namespace
 
 std::vector<std::string> scenario_names() {
@@ -167,9 +157,11 @@ std::unique_ptr<Scenario> make_scenario(std::string_view name) {
             fault = codegen::fault_kind_from_string(rest.substr(colon + 1));
             if (!fault.has_value()) return nullptr;
         }
-        auto seed = parse_seed(seed_text);
-        if (!seed.has_value()) return nullptr;
-        generate_scenario(*scenario, campaign::GenSpec{}, *seed);
+        auto seed = parse_u64(seed_text);
+        if (!seed.has_value() || *seed > std::numeric_limits<std::uint32_t>::max())
+            return nullptr;
+        generate_scenario(*scenario, campaign::GenSpec{},
+                          static_cast<std::uint32_t>(*seed));
     } else {
         return nullptr;
     }

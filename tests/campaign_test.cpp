@@ -92,6 +92,8 @@ TEST(Scenarios, ParameterizedNamesParse) {
     EXPECT_NE(gp::make_scenario("gen:5"), nullptr);
     EXPECT_NE(gp::make_scenario("gen:5:wrong-initial-state"), nullptr);
     EXPECT_NE(gp::make_scenario("lift_fault:negate-guard"), nullptr);
+    EXPECT_NE(gp::make_scenario("gen:4294967295"), nullptr);
+    EXPECT_EQ(gp::make_scenario("gen:4294967296"), nullptr);
     EXPECT_EQ(gp::make_scenario("gen:abc"), nullptr);
     EXPECT_EQ(gp::make_scenario("gen:"), nullptr);
     EXPECT_EQ(gp::make_scenario("gen:5:bogus"), nullptr);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "comdes/build.hpp"
@@ -16,6 +17,7 @@
 #include "hub/controller.hpp"
 #include "hub/registry.hpp"
 #include "proto/script.hpp"
+#include "scripted_scenario.hpp"
 
 namespace gc = gmdf::comdes;
 namespace gco = gmdf::core;
@@ -27,34 +29,8 @@ namespace rt = gmdf::rt;
 
 namespace {
 
-// A hand-built scenario driven by a ScriptedTransport: `count` signal
-// updates spaced `spacing` apart, starting at `spacing`. The target is
-// only a clock source for the scheduler; no generated code runs.
-struct Scripted {
-    std::unique_ptr<gp::Scenario> scenario;
-    gco::DebugSession* session = nullptr;
-    gl::ScriptedTransport* transport = nullptr;
-};
-
-Scripted scripted_scenario(const std::string& name, int count, rt::SimTime spacing) {
-    Scripted out;
-    out.scenario = std::make_unique<gp::Scenario>(name);
-    auto& sys = out.scenario->sys;
-    auto sig = sys.add_signal("x", "real_");
-    auto actor = sys.add_actor("act", 10'000);
-    auto sm = actor.add_sm("machine", {"go"}, {"out"});
-    sm.add_state("idle", {{"out", "0"}});
-    auto transport = std::make_unique<gl::ScriptedTransport>();
-    for (int i = 1; i <= count; ++i)
-        transport->push({gl::Cmd::SignalUpdate, static_cast<std::uint32_t>(sig.raw), 0,
-                         static_cast<float>(i)},
-                        i * spacing);
-    out.transport = transport.get();
-    out.scenario->session = std::make_unique<gco::DebugSession>(sys.model());
-    out.session = out.scenario->session.get();
-    out.session->attach(std::move(transport));
-    return out;
-}
+using gmdf::test::Scripted;
+using gmdf::test::scripted_scenario;
 
 // ---- registry lifecycle -----------------------------------------------------
 
@@ -305,6 +281,33 @@ TEST(HubStats, HelpMergesSessionAndHubRegistries) {
     EXPECT_EQ(topic.body.size(), 6u); // open/close/list/use/revive/stats
 }
 
+TEST(HubStats, ReadmeVerbTablesEqualHelp) {
+    gh::HubController hub;
+    ASSERT_NE(hub.open("blinker", "a"), nullptr);
+    auto help = hub.execute_line("help");
+    ASSERT_TRUE(help.ok());
+    std::ifstream readme(std::string(GMDF_SOURCE_DIR) + "/README.md");
+    ASSERT_TRUE(readme) << "missing README.md";
+    std::set<std::string> lines;
+    for (std::string line; std::getline(readme, line);) lines.insert(line);
+    // A `|` inside a markdown table cell is written `\|`.
+    auto cell = [](const std::string& text) {
+        std::string out;
+        for (char c : text) {
+            if (c == '|') out += '\\';
+            out += c;
+        }
+        return out;
+    };
+    for (const auto& line : help.body) {
+        const auto sep = line.find(" -- ");
+        ASSERT_NE(sep, std::string::npos) << line;
+        const std::string row = "| `" + cell(line.substr(0, sep)) + "` | " +
+                                cell(line.substr(sep + 4)) + " |";
+        EXPECT_TRUE(lines.contains(row)) << "README.md has no row\n" << row;
+    }
+}
+
 // ---- bounded trace recorder -------------------------------------------------
 
 TEST(TraceRing, EvictsOldestAndCountsDrops) {
@@ -354,6 +357,16 @@ TEST(TraceRing, BuilderKnobAndTraceVerbReportDrops) {
     auto resp = session->controller().execute_line("trace vcd");
     ASSERT_TRUE(resp.ok());
     EXPECT_EQ(resp.body[0], "(trace ring dropped 3 oldest events; capacity 2)");
+}
+
+// ---- campaign verb ----------------------------------------------------------
+
+TEST(CampaignVerb, SeedTakesEveryU32) {
+    gh::HubController hub;
+    auto top = hub.execute_line("campaign run 1 4294967295");
+    EXPECT_TRUE(top.ok()) << top.message;
+    auto past = hub.execute_line("campaign run 1 4294967296");
+    EXPECT_EQ(past.code, gp::ErrorCode::BadArgument);
 }
 
 // ---- golden fleet transcript ------------------------------------------------

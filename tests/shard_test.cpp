@@ -14,43 +14,20 @@
 #include <vector>
 
 #include "campaign/runner.hpp"
-#include "comdes/build.hpp"
-#include "core/builder.hpp"
-#include "core/session.hpp"
 #include "hub/controller.hpp"
 #include "hub/registry.hpp"
 #include "hub/sharded.hpp"
 #include "proto/script.hpp"
+#include "scripted_scenario.hpp"
 
 namespace gca = gmdf::campaign;
-namespace gco = gmdf::core;
 namespace gh = gmdf::hub;
-namespace gl = gmdf::link;
 namespace gp = gmdf::proto;
 namespace rt = gmdf::rt;
 
 namespace {
 
-// A hand-built scenario driven by a ScriptedTransport: `count` signal
-// updates spaced `spacing` apart, starting at `spacing` (same helper as
-// hub_test, target is only a clock source).
-std::unique_ptr<gp::Scenario> scripted_scenario(const std::string& name, int count,
-                                                rt::SimTime spacing) {
-    auto scenario = std::make_unique<gp::Scenario>(name);
-    auto& sys = scenario->sys;
-    auto sig = sys.add_signal("x", "real_");
-    auto actor = sys.add_actor("act", 10'000);
-    auto sm = actor.add_sm("machine", {"go"}, {"out"});
-    sm.add_state("idle", {{"out", "0"}});
-    auto transport = std::make_unique<gl::ScriptedTransport>();
-    for (int i = 1; i <= count; ++i)
-        transport->push({gl::Cmd::SignalUpdate, static_cast<std::uint32_t>(sig.raw), 0,
-                         static_cast<float>(i)},
-                        i * spacing);
-    scenario->session = std::make_unique<gco::DebugSession>(sys.model());
-    scenario->session->attach(std::move(transport));
-    return scenario;
-}
+using gmdf::test::scripted_scenario;
 
 std::string run_script_on_hub(gh::HubController& hub, const std::string& script_name) {
     std::ifstream script(std::string(GMDF_SOURCE_DIR) + "/examples/" + script_name);
@@ -130,7 +107,7 @@ TEST(Sharding, EverySessionConsumesTheFullDuration) {
     for (const auto& [threads, sessions] : {std::pair{4, 16}, std::pair{1, 3}}) {
         gh::SessionRegistry registry;
         for (int i = 0; i < sessions; ++i)
-            ASSERT_NE(registry.adopt(scripted_scenario("s", 4, 20 * rt::kMs),
+            ASSERT_NE(registry.adopt(scripted_scenario("s", 4, 20 * rt::kMs).scenario,
                                      "s" + std::to_string(i)),
                       nullptr);
         gh::ShardedScheduler scheduler;
@@ -180,8 +157,8 @@ TEST(Sharding, IdleWorkersStealFromOverloadedShards) {
     gh::SessionRegistry registry;
     for (int i = 0; i < 16; ++i) {
         const bool heavy = i % 4 == 0;
-        auto scenario = heavy ? scripted_scenario("h", 20000, 10 * rt::kUs)
-                              : scripted_scenario("l", 2, 50 * rt::kMs);
+        auto scenario = heavy ? scripted_scenario("h", 20000, 10 * rt::kUs).scenario
+                              : scripted_scenario("l", 2, 50 * rt::kMs).scenario;
         ASSERT_NE(registry.adopt(std::move(scenario), "s" + std::to_string(i)),
                   nullptr);
     }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "campaign/chaos.hpp"
 #include "hub/controller.hpp"
 #include "net/chaos.hpp"
 #include "net/client.hpp"
@@ -129,9 +130,10 @@ LevelRun run_level(double fault_rate, std::uint32_t seed) {
             }
             proto::Response probe = channel->execute_line("info");
             (void)channel->drain_event_lines();
-            tally.lost = !probe.ok();
             tally.reconnects = channel->reconnects();
             tally.reconnect_time_us = channel->reconnect_time_us();
+            tally.lost = campaign::chaos_outcome(probe, tally.errors, tally.reconnects) ==
+                         campaign::ChaosOutcome::Lost;
         });
     }
     const Clock::time_point start = Clock::now();

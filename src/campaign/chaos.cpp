@@ -22,6 +22,13 @@ const char* to_string(ChaosOutcome outcome) {
     return "?";
 }
 
+ChaosOutcome chaos_outcome(const proto::Response& probe, std::uint64_t errors,
+                           std::uint64_t reconnects) {
+    if (net::is_transport_error(probe)) return ChaosOutcome::Lost;
+    if (!probe.ok() || errors > 0) return ChaosOutcome::Degraded;
+    return reconnects > 0 ? ChaosOutcome::Resumed : ChaosOutcome::Clean;
+}
+
 namespace {
 
 /// How long the proxy parks a stalled chunk.
@@ -60,23 +67,17 @@ void drive_client(net::Channel* channel, const ChaosCampaignConfig& cfg, int ind
     }
 
     // The verdict probe: one more round trip on the same channel. A
-    // channel that can still answer (redialing first if its socket died
-    // mid-workload) is recovered; one that cannot is lost.
+    // channel the hub still answers (redialing first if its socket died
+    // mid-workload) is recovered; one it cannot is lost.
     proto::Response probe = channel->execute_line("session list");
     (void)channel->drain_event_lines();
 
     result.reconnects = channel->reconnects();
     result.reconnect_time_us = channel->reconnect_time_us();
-    if (!probe.ok()) {
-        result.outcome = ChaosOutcome::Lost;
-        if (result.detail.empty()) result.detail = "final probe: " + probe.message;
-    } else if (result.errors > 0) {
-        result.outcome = ChaosOutcome::Degraded;
-    } else if (result.reconnects > 0) {
-        result.outcome = ChaosOutcome::Resumed;
-    } else {
-        result.outcome = ChaosOutcome::Clean;
-    }
+    result.outcome = chaos_outcome(probe, result.errors, result.reconnects);
+    // A lost client's account is the probe the hub never answered.
+    if (result.outcome == ChaosOutcome::Lost || (!probe.ok() && result.detail.empty()))
+        result.detail = "final probe: " + probe.message;
 }
 
 } // namespace

@@ -15,11 +15,13 @@
 //             (it never met a fault);
 //   resumed   the workload completed with no errors after at least one
 //             automatic reconnect-and-reattach (the designed recovery);
-//   degraded  some requests surfaced errors (a corrupted byte becomes a
+//   degraded  some requests, the final probe included, came back as
+//             the hub's error responses (a corrupted byte becomes a
 //             structured protocol error by design — classified residue,
-//             not a malfunction) but the client's final probe succeeded;
-//   lost      the client could not re-establish a working channel
-//             within its redial policy.
+//             not a malfunction), but the hub answered the final probe;
+//   lost      the hub sent no answer to the final probe: the channel
+//             reports its own transport failure (its redials ran out,
+//             or the server closed it over a protocol-error frame).
 //
 // Zero unclassified clients and a live hub (an in-process probe after
 // the run answers coherently) is the pass condition gmdf_campaign
@@ -33,6 +35,7 @@
 
 #include "net/chaos.hpp"
 #include "net/server.hpp"
+#include "proto/message.hpp"
 
 namespace gmdf::campaign {
 
@@ -47,6 +50,13 @@ enum class ChaosOutcome { Clean, Resumed, Degraded, Lost };
 
 [[nodiscard]] const char* to_string(ChaosOutcome outcome);
 
+/// The bucket of one client, from its final probe and its workload's
+/// error and redial tallies: lost only when the probe is a
+/// net::is_transport_error; any hub answer, ok or error, keeps the
+/// channel working, so the client is at worst degraded.
+[[nodiscard]] ChaosOutcome chaos_outcome(const proto::Response& probe, std::uint64_t errors,
+                                         std::uint64_t reconnects);
+
 struct ChaosClientResult {
     int index = 0;
     ChaosOutcome outcome = ChaosOutcome::Lost;
@@ -54,7 +64,7 @@ struct ChaosClientResult {
     std::uint64_t errors = 0;     ///< error responses the workload observed
     std::uint64_t reconnects = 0;       ///< successful redial+reattach cycles
     std::int64_t reconnect_time_us = 0; ///< wall clock those cycles took
-    std::string detail;                 ///< first error / failure account
+    std::string detail; ///< first error; for a lost client, its unanswered probe
 };
 
 struct ChaosReport {

@@ -5,8 +5,8 @@
 // resolved to integer slots at compile time and constants folded. The VM
 // evaluates with zero per-eval allocation; hot-path errors are VmStatus
 // result codes, never exceptions. expr::eval remains the reference
-// tree-walk interpreter (cold paths, differential testing); the VM is
-// semantics-preserving against it bit for bit, including error
+// tree-walk interpreter (differential testing, the p3 bench baseline);
+// the VM is semantics-preserving against it bit for bit, including error
 // classification and short-circuit evaluation (an unknown variable only
 // faults if the instruction is actually reached).
 //

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "campaign/runner.hpp"
@@ -25,6 +26,12 @@ std::string_view skip_blanks(std::string_view line) {
     while (!line.empty() && (line.front() == ' ' || line.front() == '\t'))
         line.remove_prefix(1);
     return line;
+}
+
+/// args[i] when the request has it; nullopt names the current session.
+std::optional<std::string_view> optional_arg(const proto::Request& req, std::size_t i) {
+    if (i < req.args.size()) return req.args[i];
+    return std::nullopt;
 }
 
 std::string entry_line(SessionRegistry::Entry& e, bool is_current) {
@@ -244,9 +251,32 @@ proto::Response HubController::hub_error(proto::ErrorCode code, std::string mess
     return proto::Response::make_error(code, std::move(message));
 }
 
-proto::Response HubController::acl_denied(const std::string& name) {
-    return hub_error(proto::ErrorCode::BadState,
-                     "session '" + name + "' is outside this client's acl");
+SessionRegistry::Entry* HubController::resolve_session(std::optional<std::string_view> token,
+                                                      const RouteContext& ctx,
+                                                      proto::Response& refusal,
+                                                      bool addressed) {
+    if (!token.has_value()) {
+        SessionRegistry::Entry* entry = registry_.find(ctx.current);
+        if (entry == nullptr)
+            refusal = proto::Response::make_error(proto::ErrorCode::BadState,
+                                                  "no open session");
+        return entry;
+    }
+    SessionRegistry::Entry* entry = registry_.resolve(*token);
+    if (entry == nullptr) {
+        refusal = proto::Response::make_error(
+            proto::ErrorCode::NotFound,
+            addressed ? "no session '@" + std::string(*token) + "' (see 'session list')"
+                      : "no session '" + std::string(*token) + "'");
+        return nullptr;
+    }
+    if (!ctx.allows(entry->id, entry->name)) {
+        refusal = proto::Response::make_error(
+            proto::ErrorCode::BadState,
+            "session '" + entry->name + "' is outside this client's acl");
+        return nullptr;
+    }
+    return entry;
 }
 
 proto::Response HubController::route(SessionRegistry::Entry& entry,
@@ -303,12 +333,9 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
         if (tag.empty() || space == std::string_view::npos)
             return hub_error(proto::ErrorCode::BadRequest,
                              "usage: @<session> <verb ...>");
-        entry = registry_.resolve(tag);
-        if (entry == nullptr)
-            return hub_error(proto::ErrorCode::NotFound,
-                             "no session '@" + std::string(tag) +
-                                 "' (see 'session list')");
-        if (!ctx.allows(entry->id, entry->name)) return acl_denied(entry->name);
+        proto::Response refusal;
+        entry = resolve_session(tag, ctx, refusal, /*addressed=*/true);
+        if (entry == nullptr) return hub_error(refusal.code, std::move(refusal.message));
         addressed = true;
         line = skip_blanks(line.substr(space + 1));
         if (line.empty())
@@ -466,22 +493,9 @@ proto::Response HubController::session_close(const proto::Request& req,
     if (req.args.size() > 2)
         return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                            "usage: session close [session]");
-    SessionRegistry::Entry* entry = nullptr;
-    if (req.args.size() == 2) {
-        entry = registry_.resolve(req.args[1]);
-        if (entry == nullptr)
-            return proto::Response::make_error(proto::ErrorCode::NotFound,
-                                               "no session '" + req.args[1] + "'");
-        if (!ctx.allows(entry->id, entry->name))
-            return proto::Response::make_error(
-                proto::ErrorCode::BadState,
-                "session '" + entry->name + "' is outside this client's acl");
-    } else {
-        entry = registry_.find(ctx.current);
-        if (entry == nullptr)
-            return proto::Response::make_error(proto::ErrorCode::BadState,
-                                               "no open session");
-    }
+    proto::Response refusal;
+    SessionRegistry::Entry* entry = resolve_session(optional_arg(req, 1), ctx, refusal);
+    if (entry == nullptr) return refusal;
     int id = entry->id;
     std::string name = entry->name;
     close_entry(*entry, ctx);
@@ -505,14 +519,9 @@ proto::Response HubController::session_use(const proto::Request& req,
     if (req.args.size() != 2)
         return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                            "usage: session use <session>");
-    SessionRegistry::Entry* entry = registry_.resolve(req.args[1]);
-    if (entry == nullptr)
-        return proto::Response::make_error(proto::ErrorCode::NotFound,
-                                           "no session '" + req.args[1] + "'");
-    if (!ctx.allows(entry->id, entry->name))
-        return proto::Response::make_error(
-            proto::ErrorCode::BadState,
-            "session '" + entry->name + "' is outside this client's acl");
+    proto::Response refusal;
+    SessionRegistry::Entry* entry = resolve_session(req.args[1], ctx, refusal);
+    if (entry == nullptr) return refusal;
     ctx.current = entry->id;
     return proto::Response::make_ok({"current " + entry->name});
 }
@@ -522,22 +531,9 @@ proto::Response HubController::session_revive(const proto::Request& req,
     if (req.args.size() > 2)
         return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                            "usage: session revive [session]");
-    SessionRegistry::Entry* entry = nullptr;
-    if (req.args.size() == 2) {
-        entry = registry_.resolve(req.args[1]);
-        if (entry == nullptr)
-            return proto::Response::make_error(proto::ErrorCode::NotFound,
-                                               "no session '" + req.args[1] + "'");
-        if (!ctx.allows(entry->id, entry->name))
-            return proto::Response::make_error(
-                proto::ErrorCode::BadState,
-                "session '" + entry->name + "' is outside this client's acl");
-    } else {
-        entry = registry_.find(ctx.current);
-        if (entry == nullptr)
-            return proto::Response::make_error(proto::ErrorCode::BadState,
-                                               "no open session");
-    }
+    proto::Response refusal;
+    SessionRegistry::Entry* entry = resolve_session(optional_arg(req, 1), ctx, refusal);
+    if (entry == nullptr) return refusal;
     if (!entry->faulted())
         return proto::Response::make_error(
             proto::ErrorCode::BadState,
@@ -648,14 +644,9 @@ proto::Response HubController::cmd_attach(const proto::Request& req,
     if (req.args.size() != 1)
         return proto::Response::make_error(proto::ErrorCode::BadArgument,
                                            "usage: attach <session>");
-    SessionRegistry::Entry* entry = registry_.resolve(req.args[0]);
-    if (entry == nullptr)
-        return proto::Response::make_error(proto::ErrorCode::NotFound,
-                                           "no session '" + req.args[0] + "'");
-    if (!ctx.allows(entry->id, entry->name))
-        return proto::Response::make_error(
-            proto::ErrorCode::BadState,
-            "session '" + entry->name + "' is outside this client's acl");
+    proto::Response refusal;
+    SessionRegistry::Entry* entry = resolve_session(req.args[0], ctx, refusal);
+    if (entry == nullptr) return refusal;
     ctx.current = entry->id;
     return proto::Response::make_ok(
         {"attached " + entry->name + " (session " + std::to_string(entry->id) + ")"});

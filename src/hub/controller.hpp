@@ -56,6 +56,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -207,7 +208,15 @@ private:
     void install(SessionRegistry::Entry& entry, RouteContext& ctx);
     void collect_events(SessionRegistry::Entry& entry);
     void close_entry(SessionRegistry::Entry& entry, RouteContext& ctx);
-    proto::Response acl_denied(const std::string& name);
+    /// The session a request names, under `ctx`'s acl: `token` (an id
+    /// or name) when given, else the client's current session. Null when
+    /// there is none or the acl refuses it, with the error in `refusal`
+    /// (uncounted: the caller counts it). `addressed` words an unknown
+    /// token as an `@<session>` prefix.
+    SessionRegistry::Entry* resolve_session(std::optional<std::string_view> token,
+                                            const RouteContext& ctx,
+                                            proto::Response& refusal,
+                                            bool addressed = false);
 
     proto::Response cmd_session(const proto::Request& req, RouteContext& ctx);
     proto::Response session_open(const proto::Request& req, RouteContext& ctx);

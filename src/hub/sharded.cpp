@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -43,20 +42,17 @@ namespace {
 /// fields need no locking; `stats` is the caller's accumulator.
 ///
 /// Touches only that session's state, so distinct sessions may be
-/// sliced concurrently. Every slice also feeds the obs layer: wall
-/// duration into `slice_ns` and, when the tracer is running, a
+/// sliced concurrently. Every slice is one obs::Span: its wall time goes
+/// into `slice_ns` and the watchdog, and, when the tracer is running, a
 /// "pump-slice" span on the stable per-shard track `trace_tid`.
 bool pump_session_slice_guarded(SessionRegistry::Entry& entry, rt::SimTime slice,
                                 const WatchdogConfig& watchdog, WatchdogStats& stats,
                                 obs::Histogram& slice_ns, int trace_tid) {
-    using clock = std::chrono::steady_clock;
-    // One clock pair serves the watchdog deadline and the obs histogram;
-    // with both off the slice takes no timestamps at all.
-    const bool metrics_on = obs::metrics_enabled();
-    const bool timed = watchdog.enabled() || metrics_on;
-    const clock::time_point start = timed ? clock::now() : clock::time_point{};
+    std::uint64_t elapsed_ns = 0;
     {
-        obs::Span span("hub", "pump-slice", {}, trace_tid);
+        // A slice that throws is still sampled: the span ends on return.
+        obs::Span span("hub", "pump-slice", {}, trace_tid, &slice_ns,
+                       watchdog.enabled() ? &elapsed_ns : nullptr);
         span.arg("session", entry.name);
         try {
             proto::Scenario& scenario = *entry.scenario;
@@ -73,15 +69,8 @@ bool pump_session_slice_guarded(SessionRegistry::Entry& entry, rt::SimTime slice
             return false;
         }
     }
-    std::int64_t elapsed_ns = 0;
-    if (timed) {
-        elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
-                                                                          start)
-                         .count();
-        if (metrics_on) slice_ns.record(static_cast<std::uint64_t>(elapsed_ns));
-    }
     if (watchdog.enabled()) {
-        const auto elapsed_us = elapsed_ns / 1000;
+        const auto elapsed_us = static_cast<std::int64_t>(elapsed_ns / 1000);
         if (elapsed_us > watchdog.slice_limit_us) {
             ++stats.overruns;
             if (++entry.overrun_strikes >= watchdog.max_strikes) {

@@ -19,7 +19,20 @@ void set_error(std::string* error, std::string what) {
     if (error != nullptr) *error = std::move(what);
 }
 
+/// Starts every error Response a Channel builds itself.
+constexpr std::string_view kTransportErrorPrefix = "network: ";
+
 } // namespace
+
+proto::Response transport_error(std::string what) {
+    return proto::Response::make_error(proto::ErrorCode::Internal,
+                                       std::string(kTransportErrorPrefix) + std::move(what));
+}
+
+bool is_transport_error(const proto::Response& resp) {
+    return resp.code == proto::ErrorCode::Internal &&
+           resp.message.starts_with(kTransportErrorPrefix);
+}
 
 bool split_host_port(std::string_view spec, std::string& host, std::uint16_t& port) {
     std::size_t colon = spec.rfind(':');
@@ -120,10 +133,6 @@ bool Channel::read_frame(Frame& out, std::string* error) {
 
 std::optional<proto::Response> Channel::roundtrip(std::string_view line,
                                                   std::string* error) {
-    auto transport_error = [](std::string message) {
-        return proto::Response::make_error(proto::ErrorCode::Internal,
-                                           "network: " + std::move(message));
-    };
     if (!send_all(encode_frame(FrameType::Request, line))) {
         set_error(error, "send failed");
         return std::nullopt;
@@ -224,10 +233,6 @@ bool Channel::try_reconnect() {
 }
 
 proto::Response Channel::execute_line(std::string_view line) {
-    auto transport_error = [](std::string message) {
-        return proto::Response::make_error(proto::ErrorCode::Internal,
-                                           "network: " + std::move(message));
-    };
     if (fd_ < 0 && !(reconnect_enabled_ && try_reconnect()))
         return transport_error("not connected");
 

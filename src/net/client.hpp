@@ -23,7 +23,8 @@
 // cut may run twice; the fleet protocol's verbs are either idempotent
 // or advance simulated time, which campaign workloads tolerate by
 // design. With reconnect off (the default) failures surface exactly as
-// before, as Internal error responses.
+// before, as Internal "network: ..." error responses (is_transport_error
+// tells them from the hub's own errors).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +66,7 @@ public:
     Channel& operator=(const Channel&) = delete;
 
     /// Sends one request and blocks for its response frame. Transport
-    /// failures surface as Internal error Responses, never exceptions —
+    /// failures surface as transport_error() Responses, never exceptions —
     /// unless reconnect is enabled, in which case the channel redials,
     /// re-attaches, and retries the request once first.
     proto::Response execute_line(std::string_view line) override;
@@ -131,6 +132,13 @@ private:
     std::uint64_t reconnects_ = 0;
     std::int64_t reconnect_time_us_ = 0;
 };
+
+/// An Internal error "network: <what>": the Channel's own account of a
+/// failed transport (send, EOF, unparsable or protocol-error frame).
+proto::Response transport_error(std::string what);
+
+/// True when `resp` came from transport_error(), not from the hub.
+bool is_transport_error(const proto::Response& resp);
 
 /// Splits "host:port"; false when the port is missing or malformed.
 bool split_host_port(std::string_view spec, std::string& host, std::uint16_t& port);

@@ -81,68 +81,56 @@ Histogram::Snapshot Histogram::snapshot() const {
     return snap;
 }
 
-Registry::Shard& Registry::shard_for(std::string_view name, std::string_view label_value) {
-    const std::size_t h =
-        std::hash<std::string_view>{}(name) ^ (std::hash<std::string_view>{}(label_value) << 1);
-    return shards_[h % kShards];
-}
-
-Registry::Entry& Registry::find_or_create(Kind kind, std::string_view name,
-                                          std::string_view label_key,
-                                          std::string_view label_value) {
-    Shard& shard = shard_for(name, label_value);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto key = std::make_pair(std::string(name), std::string(label_value));
-    auto it = shard.metrics.find(key);
-    if (it == shard.metrics.end()) {
-        Entry entry;
-        entry.kind = kind;
-        entry.label_key = std::string(label_key);
-        switch (kind) {
-            case Kind::Counter: entry.counter = std::make_unique<Counter>(); break;
-            case Kind::Gauge: entry.gauge = std::make_unique<Gauge>(); break;
-            case Kind::Histogram: entry.histogram = std::make_unique<Histogram>(); break;
-        }
-        it = shard.metrics.emplace(std::move(key), std::move(entry)).first;
-    } else if (it->second.kind != kind) {
+template <typename M>
+M& Registry::find_or_create(std::string_view name, std::string_view label_key,
+                            std::string_view label_value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = metrics_
+                  .try_emplace(std::make_pair(std::string(name), std::string(label_value)),
+                               label_key, std::in_place_type<M>)
+                  .first;
+    M* metric = std::get_if<M>(&it->second.metric);
+    if (metric == nullptr)
         throw std::logic_error("obs: metric '" + std::string(name) +
                                "' re-registered as a different kind");
-    }
-    return it->second;
+    return *metric;
 }
 
 Counter& Registry::counter(std::string_view name, std::string_view label_key,
                            std::string_view label_value) {
-    return *find_or_create(Kind::Counter, name, label_key, label_value).counter;
+    return find_or_create<Counter>(name, label_key, label_value);
 }
 
 Gauge& Registry::gauge(std::string_view name, std::string_view label_key,
                        std::string_view label_value) {
-    return *find_or_create(Kind::Gauge, name, label_key, label_value).gauge;
+    return find_or_create<Gauge>(name, label_key, label_value);
 }
 
 Histogram& Registry::histogram(std::string_view name, std::string_view label_key,
                                std::string_view label_value) {
-    return *find_or_create(Kind::Histogram, name, label_key, label_value).histogram;
+    return find_or_create<Histogram>(name, label_key, label_value);
 }
 
 template <typename Fn>
 void Registry::for_each_sorted(const Registry* scoped, Fn&& fn) const {
-    // Scrape path: gather (name, label value) → Entry* across shards (and
-    // the scoped registry's), then visit in sorted order. Entry pointers
-    // stay valid after the shard mutexes drop because metrics are never
-    // erased.
-    std::vector<std::pair<std::pair<std::string, std::string>, const Entry*>> all;
-    for (const Registry* reg : {this, scoped}) {
-        if (reg == nullptr) continue;
-        for (const Shard& shard : reg->shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            for (const auto& [key, entry] : shard.metrics) all.emplace_back(key, &entry);
-        }
+    // Scrape path: both maps are sorted by (name, label value), so one
+    // merge walk visits their union in render order. The locks are held
+    // for the walk; registration is rare (startup, one lookup per
+    // scheduler built), and a sample takes no lock.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (scoped == nullptr) {
+        for (const auto& [key, entry] : metrics_) fn(key.first, key.second, entry);
+        return;
     }
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, entry] : all) fn(key.first, key.second, *entry);
+    std::lock_guard<std::mutex> scoped_lock(scoped->mu_);
+    auto a = metrics_.begin();
+    auto b = scoped->metrics_.begin();
+    while (a != metrics_.end() || b != scoped->metrics_.end()) {
+        const bool take_a =
+            b == scoped->metrics_.end() || (a != metrics_.end() && a->first < b->first);
+        const auto& [key, entry] = take_a ? *a++ : *b++;
+        fn(key.first, key.second, entry);
+    }
 }
 
 std::vector<std::string> Registry::text_dump(std::string_view prefix,
@@ -160,18 +148,17 @@ std::vector<std::string> Registry::text_dump(std::string_view prefix,
             line += '}';
         }
         line += ' ';
-        switch (entry.kind) {
-            case Kind::Counter: line += format_u64(entry.counter->value()); break;
-            case Kind::Gauge: line += format_i64(entry.gauge->value()); break;
-            case Kind::Histogram: {
-                const Histogram::Snapshot snap = entry.histogram->snapshot();
-                line += "count=" + format_u64(snap.count);
-                line += " p50=" + format_u64(static_cast<std::uint64_t>(snap.percentile(50)));
-                line += " p90=" + format_u64(static_cast<std::uint64_t>(snap.percentile(90)));
-                line += " p99=" + format_u64(static_cast<std::uint64_t>(snap.percentile(99)));
-                line += " mean=" + format_u64(static_cast<std::uint64_t>(snap.mean()));
-                break;
-            }
+        if (const auto* c = std::get_if<Counter>(&entry.metric)) {
+            line += format_u64(c->value());
+        } else if (const auto* g = std::get_if<Gauge>(&entry.metric)) {
+            line += format_i64(g->value());
+        } else {
+            const Histogram::Snapshot snap = std::get<Histogram>(entry.metric).snapshot();
+            line += "count=" + format_u64(snap.count);
+            line += " p50=" + format_u64(static_cast<std::uint64_t>(snap.percentile(50)));
+            line += " p90=" + format_u64(static_cast<std::uint64_t>(snap.percentile(90)));
+            line += " p99=" + format_u64(static_cast<std::uint64_t>(snap.percentile(99)));
+            line += " mean=" + format_u64(static_cast<std::uint64_t>(snap.mean()));
         }
         lines.push_back(std::move(line));
     });
@@ -186,13 +173,9 @@ std::string Registry::prometheus_text(const Registry* scoped) const {
                                 const Entry& entry) {
         const std::string family = sanitize(name);
         if (family != last_family) {
-            out += "# TYPE " + family + ' ';
-            switch (entry.kind) {
-                case Kind::Counter: out += "counter"; break;
-                case Kind::Gauge: out += "gauge"; break;
-                case Kind::Histogram: out += "histogram"; break;
-            }
-            out += '\n';
+            // Indexed by the variant's alternative: Counter, Gauge, Histogram.
+            static constexpr const char* kTypes[] = {"counter", "gauge", "histogram"};
+            out += "# TYPE " + family + ' ' + kTypes[entry.metric.index()] + '\n';
             last_family = family;
         }
         std::string labels;
@@ -209,42 +192,33 @@ std::string Registry::prometheus_text(const Registry* scoped) const {
             }
             return s;
         };
-        switch (entry.kind) {
-            case Kind::Counter:
-                out += with("", "") + ' ' + format_u64(entry.counter->value()) + '\n';
-                break;
-            case Kind::Gauge:
-                out += with("", "") + ' ' + format_i64(entry.gauge->value()) + '\n';
-                break;
-            case Kind::Histogram: {
-                const Histogram::Snapshot snap = entry.histogram->snapshot();
-                int highest = -1;
-                for (int i = 0; i < Histogram::kBuckets; ++i)
-                    if (snap.buckets[static_cast<std::size_t>(i)] != 0) highest = i;
-                std::uint64_t cumulative = 0;
-                for (int i = 0; i <= highest; ++i) {
-                    cumulative += snap.buckets[static_cast<std::size_t>(i)];
-                    out += with("_bucket", "le=\"" + format_u64(Histogram::bucket_upper(i)) +
-                                               "\"") +
-                           ' ' + format_u64(cumulative) + '\n';
-                }
-                out += with("_bucket", "le=\"+Inf\"") + ' ' + format_u64(snap.count) + '\n';
-                out += with("_sum", "") + ' ' + format_u64(snap.sum) + '\n';
-                out += with("_count", "") + ' ' + format_u64(snap.count) + '\n';
-                break;
+        if (const auto* c = std::get_if<Counter>(&entry.metric)) {
+            out += with("", "") + ' ' + format_u64(c->value()) + '\n';
+        } else if (const auto* g = std::get_if<Gauge>(&entry.metric)) {
+            out += with("", "") + ' ' + format_i64(g->value()) + '\n';
+        } else {
+            const Histogram::Snapshot snap = std::get<Histogram>(entry.metric).snapshot();
+            int highest = -1;
+            for (int i = 0; i < Histogram::kBuckets; ++i)
+                if (snap.buckets[static_cast<std::size_t>(i)] != 0) highest = i;
+            std::uint64_t cumulative = 0;
+            for (int i = 0; i <= highest; ++i) {
+                cumulative += snap.buckets[static_cast<std::size_t>(i)];
+                out += with("_bucket", "le=\"" + format_u64(Histogram::bucket_upper(i)) +
+                                           "\"") +
+                       ' ' + format_u64(cumulative) + '\n';
             }
+            out += with("_bucket", "le=\"+Inf\"") + ' ' + format_u64(snap.count) + '\n';
+            out += with("_sum", "") + ' ' + format_u64(snap.sum) + '\n';
+            out += with("_count", "") + ' ' + format_u64(snap.count) + '\n';
         }
     });
     return out;
 }
 
 std::size_t Registry::metric_count() const {
-    std::size_t n = 0;
-    for (const Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        n += shard.metrics.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return metrics_.size();
 }
 
 Registry& registry() {

@@ -1,26 +1,27 @@
 // gmdf::obs — unified metrics registry.
 //
-// One process-global registry of named counters, gauges, and fixed-bucket
-// latency histograms, designed so the hot path pays a relaxed atomic op or
-// two per update and the scrape path can render everything
-// deterministically:
+// One process-global registry of named latency histograms, plus the
+// counters and gauges a scrape publishes, rendered deterministically:
 //
-//   obs::registry().histogram("proto.request_ns", "verb", "query").record(ns);
+//   obs::Span span("proto", "dispatch:", verb, -1, &request_ns); // samples it
 //   scoped.counter("hub.requests").set(stats.requests); // at scrape time
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // process lifetime — metrics are never erased — so call sites look a metric
-// up once and cache the reference. The name→metric map is lock-sharded;
-// lookups take one shard mutex, updates through a handle take none.
+// up once and cache the reference. One mutex guards the one sorted map;
+// only find-or-create and scrapes take it, so a sample through a handle
+// takes no lock.
 //
 // Metrics carry at most one label pair (key, value); families that fan out
 // (per-verb, per-shard) use it, everything else leaves it empty.
 //
-// The global registry holds only instrumented families. Totals that live
-// in a stats struct (EngineStats, NetStats, ShardStats, ...) are never
-// mirrored here: a scrape copies them into a throwaway Registry and passes
-// it as `scoped` to a render call, which merges it into the sorted output
-// (its names must not also exist in the rendering registry).
+// The global registry holds only the timed families, which obs::Span
+// samples. Totals that live in a stats struct (EngineStats, NetStats,
+// ShardStats, ...) are never mirrored here: a scrape copies them into a
+// throwaway Registry as counters and gauges, plain values set once by the
+// scraping thread, and passes it as `scoped` to a render call, which
+// merges it into the sorted output (its names must not also exist in the
+// rendering registry).
 //
 // Rendering:
 //   - text_dump(prefix)   — one line per metric, sorted by (name, label),
@@ -28,9 +29,10 @@
 //   - prometheus_text()   — Prometheus text exposition (version 0.0.4) with
 //                           a gmdf_ prefix, served for GET /metrics
 //
-// set_metrics_enabled(false) turns every add/record into a no-op (one
-// relaxed load) — the knob the overhead bench flips to price the
-// instrumentation. Publishing with set() is not gated.
+// set_metrics_enabled(false) turns every Histogram::record into a no-op
+// (one relaxed load) and stops Span from reading the clock for one — the
+// knob the overhead bench flips to price the instrumentation. Publishing
+// with set() is not gated.
 #pragma once
 
 #include <array>
@@ -38,10 +40,11 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace gmdf::obs {
@@ -49,29 +52,25 @@ namespace gmdf::obs {
 bool metrics_enabled();
 void set_metrics_enabled(bool on);
 
+// Counters and gauges hold a total or level counted elsewhere (a stats
+// struct), published into a scrape's own registry by the scraping thread.
 class Counter {
   public:
-    void add(std::uint64_t n = 1) {
-        if (metrics_enabled()) value_.fetch_add(n, std::memory_order_relaxed);
-    }
-    // Publishes a total counted elsewhere (a stats struct) into a scrape.
-    void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-    std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+    void set(std::uint64_t v) { value_ = v; }
+    std::uint64_t value() const { return value_; }
 
   private:
-    std::atomic<std::uint64_t> value_{0};
+    std::uint64_t value_ = 0;
 };
 
-// Gauges are set, not accumulated — scrapes publish them from the state
-// they describe, so they are not gated on metrics_enabled().
+// A gauge is a counter that can go down.
 class Gauge {
   public:
-    void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-    std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
+    void set(std::int64_t v) { value_ = v; }
+    std::int64_t value() const { return value_; }
 
   private:
-    std::atomic<std::int64_t> value_{0};
+    std::int64_t value_ = 0;
 };
 
 // Fixed power-of-two buckets sized for nanosecond latencies: bucket 0 holds
@@ -153,32 +152,25 @@ class Registry {
     std::size_t metric_count() const;
 
   private:
-    enum class Kind { Counter, Gauge, Histogram };
-
     struct Entry {
-        Kind kind;
+        template <typename M>
+        Entry(std::string_view key, std::in_place_type_t<M> kind)
+            : label_key(key), metric(kind) {}
         std::string label_key;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
+        std::variant<Counter, Gauge, Histogram> metric;
     };
 
-    struct Shard {
-        mutable std::mutex mu;
-        // Keyed by (name, label value); map nodes give Entry pointer
-        // stability, which is what makes handles permanent.
-        std::map<std::pair<std::string, std::string>, Entry> metrics;
-    };
-
-    Entry& find_or_create(Kind kind, std::string_view name,
-                          std::string_view label_key, std::string_view label_value);
-    Shard& shard_for(std::string_view name, std::string_view label_value);
+    template <typename M>
+    M& find_or_create(std::string_view name, std::string_view label_key,
+                      std::string_view label_value);
 
     template <typename Fn>
     void for_each_sorted(const Registry* scoped, Fn&& fn) const;
 
-    static constexpr std::size_t kShards = 16;
-    std::array<Shard, kShards> shards_;
+    mutable std::mutex mu_;
+    // Keyed by (name, label value), so iteration is render order; map
+    // nodes never move, which is what makes handles permanent.
+    std::map<std::pair<std::string, std::string>, Entry> metrics_;
 };
 
 // The process-global registry every instrumented subsystem publishes into.

@@ -57,11 +57,11 @@ void Tracer::set_capacity(std::size_t events) {
     capacity_ = events == 0 ? 1 : events;
 }
 
-std::uint64_t Tracer::now_ns() const {
+std::uint64_t Tracer::since_start(std::chrono::steady_clock::time_point t) const {
+    // A span opened before a re-start() begins at the new capture's start.
+    if (t <= epoch_) return 0;
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_).count());
 }
 
 void Tracer::record(std::string name, const char* category, std::uint64_t begin_ns,
@@ -166,7 +166,7 @@ int current_trace_tid() {
 }
 
 void Span::arg(std::string_view key, std::string_view value) {
-    if (!armed_) return;
+    if (!traced_) return;
     args_json_ += args_json_.empty() ? "{\"" : ",\"";
     append_json_escaped(args_json_, key);
     args_json_ += "\":\"";

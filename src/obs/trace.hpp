@@ -1,14 +1,23 @@
-// gmdf::obs — span tracer with Chrome trace-event export.
+// gmdf::obs — the one timing probe (Span) and its tracer, with Chrome
+// trace-event export.
 //
-// A process-global, ring-buffered span recorder that is off by default and
-// costs one relaxed atomic load per would-be span while off. When enabled
-// (`trace profile start`, or `gmdf_serve --trace-out`), RAII Spans capture
-// complete "X" events (begin + wall duration) into lock-sharded rings;
-// write_chrome_json() renders them as Chrome trace-event JSON that loads
-// directly in Perfetto / chrome://tracing.
+// An obs::Span times one operation for everyone who asked: the tracer (a
+// complete "X" event), a latency histogram, and a caller that wants the
+// elapsed time (the pump watchdog). It reads the steady clock once at each
+// end, and only when someone asked — the tracer runs, metrics are on and
+// it has a histogram, or an elapsed-time slot was given — so an idle
+// probe costs two relaxed loads and no clock read. Every consumer gets
+// the same clock pair, so a span and its histogram sample always agree.
 //
-//   obs::Span span("hub", "pump-slice", /*suffix=*/{}, shard_tid);
+//   obs::Span span("hub", "pump-slice", /*suffix=*/{}, shard_tid, &slice_ns,
+//                  &elapsed_ns);
 //   span.arg("session", entry.name);
+//
+// The tracer is a process-global, ring-buffered span recorder, off by
+// default. When enabled (`trace profile start`, or `gmdf_serve
+// --trace-out`), spans land in lock-sharded rings; write_chrome_json()
+// renders them as Chrome trace-event JSON that loads directly in Perfetto
+// / chrome://tracing.
 //
 // Trace "thread" ids are a presentation concept, not OS tids: the fleet
 // pump passes an explicit per-shard tid (kShardTidBase + shard) so slices
@@ -32,6 +41,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/metrics.hpp"
+
 namespace gmdf::obs {
 
 class Tracer {
@@ -48,7 +59,10 @@ class Tracer {
     // Max buffered events across all rings; resets the capture.
     void set_capacity(std::size_t events);
 
-    std::uint64_t now_ns() const;
+    std::uint64_t now_ns() const { return since_start(std::chrono::steady_clock::now()); }
+    // `t` as nanoseconds since start(), the trace's time base (0 for
+    // earlier times).
+    std::uint64_t since_start(std::chrono::steady_clock::time_point t) const;
 
     // Record a complete span. Callers check enabled() first (Span does);
     // events recorded while disabled are ignored.
@@ -97,20 +111,27 @@ Tracer& tracer();
 // spans that don't pass an explicit tid.
 int current_trace_tid();
 
-// RAII complete-span. All construction cost (name concatenation, clock
-// read) is skipped when the tracer is disabled.
+// RAII timing probe: one clock pair feeds the trace event, the optional
+// histogram sample and the optional elapsed-time slot. Name concatenation
+// happens only while the tracer runs; with nothing asking, construction
+// and destruction read no clock.
 class Span {
   public:
+    using Clock = std::chrono::steady_clock;
+
     Span(const char* category, std::string_view name, std::string_view name_suffix = {},
-         int tid = -1) {
-        if (!tracer().enabled()) return;
-        armed_ = true;
-        category_ = category;
-        name_.reserve(name.size() + name_suffix.size());
-        name_.assign(name);
-        name_.append(name_suffix);
-        tid_ = tid >= 0 ? tid : current_trace_tid();
-        begin_ns_ = tracer().now_ns();
+         int tid = -1, Histogram* histogram = nullptr, std::uint64_t* elapsed_ns = nullptr)
+        : histogram_(histogram != nullptr && metrics_enabled() ? histogram : nullptr),
+          elapsed_ns_(elapsed_ns) {
+        if (tracer().enabled()) {
+            traced_ = true;
+            category_ = category;
+            name_.reserve(name.size() + name_suffix.size());
+            name_.assign(name);
+            name_.append(name_suffix);
+            tid_ = tid >= 0 ? tid : current_trace_tid();
+        }
+        if (timed()) begin_ = Clock::now();
     }
 
     Span(const Span&) = delete;
@@ -120,19 +141,29 @@ class Span {
     void arg(std::string_view key, std::string_view value);
 
     ~Span() {
-        if (!armed_) return;
+        if (!timed()) return;
+        const Clock::time_point end = Clock::now();
+        const auto ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin_).count());
+        if (histogram_ != nullptr) histogram_->record(ns);
+        if (elapsed_ns_ != nullptr) *elapsed_ns_ = ns;
+        if (!traced_) return;
         if (!args_json_.empty()) args_json_ += '}';
-        tracer().record(std::move(name_), category_, begin_ns_,
-                        tracer().now_ns() - begin_ns_, tid_, std::move(args_json_));
+        tracer().record(std::move(name_), category_, tracer().since_start(begin_), ns, tid_,
+                        std::move(args_json_));
     }
 
   private:
-    bool armed_ = false;
+    bool timed() const { return traced_ || histogram_ != nullptr || elapsed_ns_ != nullptr; }
+
+    bool traced_ = false;
+    Histogram* histogram_;       ///< null: not sampled (none given, or metrics off)
+    std::uint64_t* elapsed_ns_;  ///< null: nobody asked for the elapsed time
     const char* category_ = "";
     std::string name_;
     std::string args_json_;
     int tid_ = 0;
-    std::uint64_t begin_ns_ = 0;
+    Clock::time_point begin_{};
 };
 
 } // namespace gmdf::obs

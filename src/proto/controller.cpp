@@ -1,6 +1,5 @@
 #include "proto/controller.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -39,13 +38,19 @@ Response bad_args(const std::string& usage) {
     return Response::make_error(ErrorCode::BadArgument, "usage: " + usage);
 }
 
-/// Parses a finite number token in full; nullopt on junk (incl. nan/inf).
-std::optional<double> parse_number(const std::string& token) {
+/// Parses a `<ms>` argument in full into SimTime ns: a finite number,
+/// >= 0 (> 0 unless `allow_zero`), small enough that ms * 1e6 fits
+/// SimTime — a float-to-int cast out of range is UB, not a saturation.
+/// nullopt on anything else; each verb words its own refusal.
+std::optional<rt::SimTime> parse_ms(const std::string& token, bool allow_zero) {
     if (token.empty()) return std::nullopt;
     char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(v)) return std::nullopt;
-    return v;
+    const double ms = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size() || !std::isfinite(ms) || ms < 0 ||
+        (ms == 0 && !allow_zero) ||
+        ms * 1e6 >= static_cast<double>(std::numeric_limits<rt::SimTime>::max()))
+        return std::nullopt;
+    return static_cast<rt::SimTime>(ms * 1e6);
 }
 
 /// The COMDES metaclass to resolve against, or null for generic models.
@@ -179,26 +184,16 @@ Response SessionController::dispatch(const Request& req) {
     if (row == nullptr)
         return Response::make_error(ErrorCode::UnknownVerb,
                                     "unknown verb '" + req.verb + "' (try 'help')");
-    // One relaxed load gates the whole instrumentation block; with metrics
-    // off the dispatch path is byte-for-byte the uninstrumented one.
-    const bool timed = obs::metrics_enabled();
-    const auto begin = timed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
-    obs::Span span("proto", "dispatch:", req.verb);
-    Response resp;
+    // One span times the verb for its trace event and its latency
+    // histogram; with metrics and the tracer off it reads no clock.
+    obs::Span span("proto", "dispatch:", req.verb, -1, row->latency);
     try {
-        resp = (this->*row->handler)(req);
+        return (this->*row->handler)(req);
     } catch (const std::exception& e) {
-        resp = Response::make_error(ErrorCode::Internal, req.verb + " failed: " + e.what());
+        return Response::make_error(ErrorCode::Internal, req.verb + " failed: " + e.what());
     } catch (...) {
-        resp = Response::make_error(ErrorCode::Internal, req.verb + " failed");
+        return Response::make_error(ErrorCode::Internal, req.verb + " failed");
     }
-    if (timed)
-        row->latency->record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - begin)
-                .count()));
-    return resp;
 }
 
 Response SessionController::execute_line(std::string_view line) {
@@ -294,17 +289,14 @@ Response SessionController::cmd_info(const Request& req) {
 
 Response SessionController::cmd_run(const Request& req) {
     if (req.args.size() != 1) return bad_args("run <ms>");
-    auto ms = parse_number(req.args[0]);
-    // The upper bound keeps ms * 1e6 representable as SimTime ns — a
-    // float-to-int cast out of range is UB, not a saturation.
-    if (!ms.has_value() || *ms <= 0 ||
-        *ms * 1e6 >= static_cast<double>(std::numeric_limits<rt::SimTime>::max()))
+    const auto duration = parse_ms(req.args[0], /*allow_zero=*/false);
+    if (!duration.has_value())
         return Response::make_error(ErrorCode::BadArgument,
                                     "'" + req.args[0] + "' is not a positive duration");
     if (!run_hook_)
         return Response::make_error(ErrorCode::BadState,
                                     "no target clock attached (run hook unset)");
-    run_hook_(static_cast<rt::SimTime>(*ms * 1e6));
+    run_hook_(*duration);
     return Response::make_ok(
         {"ran " + req.args[0] + " ms",
          std::string("engine ") + core::to_string(session_->engine().state())});
@@ -689,14 +681,13 @@ Response SessionController::cmd_checkpoint(const Request& req) {
 
     if (sub == "auto") {
         if (req.args.size() != 2) return bad_args("checkpoint auto <ms>");
-        auto ms = parse_number(req.args[1]);
-        if (!ms.has_value() || *ms < 0 ||
-            *ms * 1e6 >= static_cast<double>(std::numeric_limits<rt::SimTime>::max()))
+        const auto period = parse_ms(req.args[1], /*allow_zero=*/true);
+        if (!period.has_value())
             return Response::make_error(ErrorCode::BadArgument,
                                         "'" + req.args[1] +
                                             "' is not a cadence in ms (>= 0)");
-        timeline_->set_auto_period(static_cast<rt::SimTime>(*ms * 1e6));
-        return Response::make_ok({*ms == 0
+        timeline_->set_auto_period(*period);
+        return Response::make_ok({*period == 0
                                       ? std::string("checkpoint auto off")
                                       : "checkpoint auto every " + req.args[1] + " ms"});
     }
@@ -718,13 +709,11 @@ Response SessionController::cmd_checkpoint(const Request& req) {
 Response SessionController::cmd_rewind(const Request& req) {
     if (timeline_ == nullptr) return no_timeline();
     if (req.args.size() != 1) return bad_args("rewind <ms>");
-    auto ms = parse_number(req.args[0]);
-    if (!ms.has_value() || *ms < 0 ||
-        *ms * 1e6 >= static_cast<double>(std::numeric_limits<rt::SimTime>::max()))
+    const auto t = parse_ms(req.args[0], /*allow_zero=*/true);
+    if (!t.has_value())
         return Response::make_error(ErrorCode::BadArgument,
                                     "'" + req.args[0] + "' is not a time in ms (>= 0)");
-    auto t = static_cast<rt::SimTime>(*ms * 1e6);
-    if (auto err = timeline_->rewind_to(t); err.has_value()) return nav_error(*err);
+    if (auto err = timeline_->rewind_to(*t); err.has_value()) return nav_error(*err);
     return Response::make_ok(
         {"rewound to " + req.args[0] + " ms",
          std::string("engine ") + core::to_string(session_->engine().state())});

@@ -1,8 +1,6 @@
 #include "replay/timeline.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <type_traits>
 
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
@@ -29,32 +27,6 @@ const ReplayMetrics& replay_metrics() {
     return metrics;
 }
 
-/// Times one capture_snapshot/restore_snapshot call into `hist` (and a
-/// tracer span); cost with metrics off is one relaxed load.
-template <typename Fn>
-auto timed_snapshot_op(obs::Histogram* hist, const char* span_name, Fn&& fn) {
-    const bool timed = obs::metrics_enabled();
-    const auto begin = timed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
-    obs::Span span("replay", span_name);
-    if constexpr (std::is_void_v<decltype(fn())>) {
-        fn();
-        if (timed)
-            hist->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - begin)
-                    .count()));
-    } else {
-        auto result = fn();
-        if (timed)
-            hist->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - begin)
-                    .count()));
-        return result;
-    }
-}
-
 } // namespace
 
 Timeline::Timeline(rt::Target& target, core::DebugSession& session)
@@ -79,8 +51,10 @@ const Checkpoint* Timeline::capture_now(std::string* error) {
     }
     try {
         Checkpoint cp;
-        cp.snap = timed_snapshot_op(replay_metrics().capture_ns, "capture",
-                                    [&] { return capture_snapshot(*target_, *session_); });
+        {
+            obs::Span span("replay", "capture", {}, -1, replay_metrics().capture_ns);
+            cp.snap = capture_snapshot(*target_, *session_);
+        }
         cp.journal_index = journal_base_ + journal_.size();
         // A trailing run entry is still open — sync_journal extends it in
         // place as time advances past this capture — so catch-up must
@@ -233,8 +207,10 @@ Timeline::ReplayStop Timeline::replay_span(const Checkpoint& cp, rt::SimTime t,
     engine.set_replay_mode(true);
     if (extra != nullptr) engine.add_observer(extra);
 
-    timed_snapshot_op(replay_metrics().restore_ns, "restore",
-                      [&] { restore_snapshot(cp.snap, *target_, *session_); });
+    {
+        obs::Span span("replay", "restore", {}, -1, replay_metrics().restore_ns);
+        restore_snapshot(cp.snap, *target_, *session_);
+    }
     // journal_index is absolute; the ring holds [journal_base_, base +
     // size). Checkpoints stranded below the window are dropped at
     // eviction time, so the start is always inside it.
@@ -362,9 +338,11 @@ BisectResult Timeline::bisect() {
     // disagreement (trace mismatch or divergence) it observed. Probing
     // from the fixed base keeps "bad(i)" monotone, so every nullopt
     // probe proves the prefix up to its midpoint re-executes faithfully.
-    Snapshot bookmark = timed_snapshot_op(
-        replay_metrics().capture_ns, "capture",
-        [&] { return capture_snapshot(*target_, *session_); });
+    Snapshot bookmark;
+    {
+        obs::Span span("replay", "capture", {}, -1, replay_metrics().capture_ns);
+        bookmark = capture_snapshot(*target_, *session_);
+    }
     auto probe = [&](std::size_t i) -> std::optional<std::size_t> {
         TraceComparator comp(events, start);
         replay_span(base, events[i].t, &comp);
@@ -375,8 +353,8 @@ BisectResult Timeline::bisect() {
     std::size_t hi = events.size() - 1;
     std::optional<std::size_t> full = probe(hi);
     if (!full.has_value()) {
-        timed_snapshot_op(replay_metrics().restore_ns, "restore",
-                          [&] { restore_snapshot(bookmark, *target_, *session_); });
+        obs::Span span("replay", "restore", {}, -1, replay_metrics().restore_ns);
+        restore_snapshot(bookmark, *target_, *session_);
         return res; // faithful, divergence-free timeline
     }
     // Probes are time-granular (a probe at step i replays every event
@@ -411,8 +389,8 @@ BisectResult Timeline::bisect() {
     res.reason = confirm.first_bad().has_value()
                      ? confirm.reason(*confirm.first_bad())
                      : "disagreement did not reproduce on the confirming probe";
-    timed_snapshot_op(replay_metrics().restore_ns, "restore",
-                      [&] { restore_snapshot(bookmark, *target_, *session_); });
+    obs::Span span("replay", "restore", {}, -1, replay_metrics().restore_ns);
+    restore_snapshot(bookmark, *target_, *session_);
     return res;
 }
 

@@ -392,6 +392,38 @@ TEST(ChaosCampaign, TenPercentFaultsZeroHubCrashesZeroUnclassified) {
     EXPECT_FALSE(report.summary_lines().empty());
 }
 
+// Lost means the hub sent no answer to the final probe; any answer it
+// did send, an error included, keeps the client at worst degraded.
+TEST(ChaosCampaign, VerdictIsLostOnlyWhenTheHubSentNoAnswer) {
+    const gp::Response answered = gp::Response::make_ok({"sessions 1"});
+    const gp::Response hub_error = gp::Response::make_error(
+        gp::ErrorCode::UnknownVerb, "unknown verb 'se?sion' (try 'help')");
+    const gp::Response no_answer = gn::transport_error("connection closed by server");
+    EXPECT_EQ(gc::chaos_outcome(hub_error, 0, 3), gc::ChaosOutcome::Degraded);
+    EXPECT_EQ(gc::chaos_outcome(no_answer, 0, 0), gc::ChaosOutcome::Lost);
+    EXPECT_EQ(gc::chaos_outcome(answered, 0, 2), gc::ChaosOutcome::Resumed);
+    EXPECT_EQ(gc::chaos_outcome(answered, 0, 0), gc::ChaosOutcome::Clean);
+    EXPECT_EQ(gc::chaos_outcome(answered, 1, 2), gc::ChaosOutcome::Degraded);
+}
+
+// The same line between a live channel's answers and its own failures: a
+// flipped byte the hub answers is not a transport failure, a request
+// after the server stops is one.
+TEST(ChaosCampaign, ChannelTellsHubErrorsFromTransportFailures) {
+    LoopbackServer srv({}, "s");
+    auto channel = srv.dial();
+    ASSERT_NE(channel, nullptr);
+    const gp::Response flipped = channel->execute_line("se?sion list");
+    (void)channel->drain_event_lines();
+    EXPECT_EQ(flipped.code, gp::ErrorCode::UnknownVerb) << flipped.message;
+    EXPECT_FALSE(gn::is_transport_error(flipped)) << flipped.message;
+
+    srv.join();
+    srv.server->stop();
+    const gp::Response gone = channel->execute_line("session list");
+    EXPECT_TRUE(gn::is_transport_error(gone)) << gone.message;
+}
+
 // ---- bounded rings ----------------------------------------------------------
 
 TEST(BoundedRings, DivergenceLogEvictsOldestAndCounts) {

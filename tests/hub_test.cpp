@@ -134,6 +134,52 @@ TEST(Routing, MalformedPrefixAndNoSessionErrors) {
     EXPECT_EQ(quit.body[0], "bye");
 }
 
+// Each form that names a session refuses an unknown one and an
+// acl-refused one with its own pinned code and message, and counts the
+// refusal once as a hub request and once as a hub error.
+TEST(Routing, SessionArgumentRefusalsArePinnedPerForm) {
+    gh::HubController hub;
+    ASSERT_NE(hub.open("blinker", "a"), nullptr);
+    ASSERT_NE(hub.open("blinker", "b"), nullptr);
+    gh::RouteContext only_a; // may address a, not b
+    only_a.restricted = true;
+    only_a.acl = {"a"};
+    gh::RouteContext none; // no current session
+
+    const std::string acl = "session 'b' is outside this client's acl";
+    struct Case {
+        std::string line;
+        gh::RouteContext* ctx;
+        gp::ErrorCode code;
+        std::string message;
+    };
+    const std::vector<Case> cases = {
+        {"@x info", &hub.root_context(), gp::ErrorCode::NotFound,
+         "no session '@x' (see 'session list')"},
+        {"session close x", &hub.root_context(), gp::ErrorCode::NotFound, "no session 'x'"},
+        {"session use x", &hub.root_context(), gp::ErrorCode::NotFound, "no session 'x'"},
+        {"session revive x", &hub.root_context(), gp::ErrorCode::NotFound,
+         "no session 'x'"},
+        {"attach x", &hub.root_context(), gp::ErrorCode::NotFound, "no session 'x'"},
+        {"@b info", &only_a, gp::ErrorCode::BadState, acl},
+        {"session close b", &only_a, gp::ErrorCode::BadState, acl},
+        {"session use b", &only_a, gp::ErrorCode::BadState, acl},
+        {"session revive b", &only_a, gp::ErrorCode::BadState, acl},
+        {"attach b", &only_a, gp::ErrorCode::BadState, acl},
+        {"session close", &none, gp::ErrorCode::BadState, "no open session"},
+        {"session revive", &none, gp::ErrorCode::BadState, "no open session"},
+    };
+    for (const Case& c : cases) {
+        const gh::HubController::HubStats before = hub.stats();
+        const gp::Response resp = hub.execute_line(c.line, *c.ctx);
+        EXPECT_EQ(resp.code, c.code) << c.line;
+        EXPECT_EQ(resp.message, c.message) << c.line;
+        EXPECT_EQ(hub.stats().requests, before.requests + 1) << c.line;
+        EXPECT_EQ(hub.stats().request_errors, before.request_errors + 1) << c.line;
+    }
+    EXPECT_EQ(hub.registry().size(), 2u);
+}
+
 TEST(Routing, CloseCurrentFallsBackToLowestId) {
     gh::HubController hub;
     ASSERT_NE(hub.open("blinker", "a"), nullptr);

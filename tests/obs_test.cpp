@@ -3,7 +3,8 @@
 // updates (the TSan target), the two render surfaces (`metrics [prefix]`
 // text dump, Prometheus exposition incl. a live GET /metrics scrape over
 // loopback), tracer Chrome-JSON well-formedness from a real sharded pump,
-// instrumentation deltas on the dispatch/pump/replay paths, and the
+// instrumentation deltas on the dispatch/pump/replay paths (each span and
+// its histogram count the same operations), and the
 // zero-drift contract: golden transcripts stay byte-identical with metrics
 // and tracing fully enabled.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "obs/trace.hpp"
 #include "proto/scenarios.hpp"
 #include "proto/script.hpp"
+#include "rt/target.hpp"
 
 namespace gh = gmdf::hub;
 namespace gn = gmdf::net;
@@ -100,7 +102,7 @@ TEST(Registry, HandlesAreStableAndSharedByName) {
     go::Counter& other = reg.counter("x.requests", "verb", "query");
     EXPECT_NE(&a, &other);
     EXPECT_EQ(reg.metric_count(), 2u);
-    a.add(3);
+    a.set(3);
     EXPECT_EQ(b.value(), 3u);
     EXPECT_EQ(other.value(), 0u);
 }
@@ -116,21 +118,18 @@ TEST(Registry, KindMismatchThrows) {
 
 TEST(Registry, DisabledMetricsAreNoOps) {
     go::Registry reg;
-    go::Counter& c = reg.counter("x.gated");
     go::Histogram& h = reg.histogram("x.gated_ns");
     go::set_metrics_enabled(false);
-    c.add(5);
     h.record(123);
     go::set_metrics_enabled(true);
-    EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(h.snapshot().count, 0u);
-    c.add(5);
-    EXPECT_EQ(c.value(), 5u);
+    h.record(123);
+    EXPECT_EQ(h.snapshot().count, 1u);
 }
 
 TEST(Registry, TextDumpFormatAndPrefixFilter) {
     go::Registry reg;
-    reg.counter("b.count").add(7);
+    reg.counter("b.count").set(7);
     reg.gauge("a.level").set(-3);
     go::Histogram& h = reg.histogram("c.lat_ns", "verb", "run");
     for (int i = 0; i < 4; ++i) h.record(100);
@@ -151,8 +150,8 @@ TEST(Registry, TextDumpFormatAndPrefixFilter) {
 
 TEST(Registry, PrometheusExposition) {
     go::Registry reg;
-    reg.counter("req.total", "verb", "run").add(2);
-    reg.counter("req.total", "verb", "query").add(1);
+    reg.counter("req.total", "verb", "run").set(2);
+    reg.counter("req.total", "verb", "query").set(1);
     reg.gauge("live").set(4);
     go::Histogram& h = reg.histogram("lat.ns");
     h.record(0);
@@ -180,7 +179,7 @@ TEST(Registry, PrometheusExposition) {
 // render merges it in sorted and typed, and the registry adopts nothing.
 TEST(Registry, ScopedRegistryMergesIntoTheSortedRender) {
     go::Registry reg;
-    reg.counter("a.count").add(1);
+    reg.counter("a.count").set(1);
     reg.gauge("c.level").set(3);
     go::Registry scoped;
     go::set_metrics_enabled(false); // publishing a total is not gated
@@ -197,8 +196,8 @@ TEST(Registry, ScopedRegistryMergesIntoTheSortedRender) {
     EXPECT_EQ(reg.metric_count(), 2u);
 }
 
-// The TSan target: concurrent find-or-create against the sharded map plus
-// lock-free handle updates, with scrapes racing the writers.
+// The TSan target: concurrent find-or-create against the one map plus
+// lock-free histogram records, with scrapes racing the writers.
 TEST(Registry, ConcurrentRegistrationAndUpdates) {
     go::Registry reg;
     constexpr int kThreads = 8;
@@ -209,7 +208,6 @@ TEST(Registry, ConcurrentRegistrationAndUpdates) {
         threads.emplace_back([&reg, t] {
             for (int i = 0; i < kPerThread; ++i) {
                 // All threads fight over the same few names.
-                reg.counter("race.count", "slot", std::to_string(i % 4)).add();
                 reg.histogram("race.lat", "slot", std::to_string(i % 4))
                     .record(static_cast<std::uint64_t>(i));
                 if (i % 512 == 0) (void)reg.text_dump();
@@ -218,10 +216,7 @@ TEST(Registry, ConcurrentRegistrationAndUpdates) {
         });
     for (auto& th : threads) th.join();
 
-    std::uint64_t total = 0;
-    for (int s = 0; s < 4; ++s)
-        total += reg.counter("race.count", "slot", std::to_string(s)).value();
-    EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(reg.metric_count(), 4u);
     std::uint64_t samples = 0;
     for (int s = 0; s < 4; ++s)
         samples += reg.histogram("race.lat", "slot", std::to_string(s)).snapshot().count;
@@ -245,7 +240,9 @@ TEST(Instrumentation, PumpSlicesFeedTheHistogram) {
     go::Histogram& slices = go::registry().histogram("hub.pump.slice_ns");
     const std::uint64_t before = slices.snapshot().count;
     ASSERT_TRUE(hub.execute_line("run 100").ok());
-    EXPECT_GT(slices.snapshot().count, before);
+    // 100 ms in 10 ms slices.
+    EXPECT_EQ(slices.snapshot().count - before, 10u);
+    EXPECT_EQ(hub.scheduler().total_slices(), 10u);
 }
 
 TEST(Instrumentation, ReplayCaptureAndRestoreAreTimed) {
@@ -261,6 +258,70 @@ TEST(Instrumentation, ReplayCaptureAndRestoreAreTimed) {
     ASSERT_TRUE(ctl.execute_line("rewind 250").ok());
     EXPECT_GT(capture.snapshot().count, cap_before);
     EXPECT_GT(restore.snapshot().count, res_before);
+}
+
+/// Complete spans named `name` in the tracer's capture.
+std::size_t span_count(std::string_view name) {
+    std::ostringstream out;
+    go::tracer().write_chrome_json(out);
+    const std::string json = out.str();
+    const std::string needle = "\"name\":\"" + std::string(name) + "\"";
+    std::size_t n = 0;
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+// Each timed operation is one Span, so its trace event and its histogram
+// sample count the same operations: the slice in which a session faults
+// is sampled too, and the slice samples match the scheduler's count.
+TEST(Instrumentation, SpansAndHistogramsCountTheSameOperations) {
+    go::Histogram& slice_ns = go::registry().histogram("hub.pump.slice_ns");
+    go::Histogram& run_ns = go::registry().histogram("proto.request_ns", "verb", "run");
+    go::tracer().set_capacity(1 << 14);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        gh::HubController hub;
+        hub.scheduler().set_threads(threads);
+        ASSERT_NE(hub.open("blinker", "a"), nullptr);
+        gh::SessionRegistry::Entry* b = hub.open("blinker", "b");
+        ASSERT_NE(b, nullptr);
+        b->scenario->target.inject_fault_at(50 * gmdf::rt::kMs, "injected crash");
+
+        const std::uint64_t slices_before = slice_ns.snapshot().count;
+        const std::uint64_t runs_before = run_ns.snapshot().count;
+        go::tracer().start();
+        ASSERT_TRUE(hub.execute_line("run 100").ok());
+        go::tracer().stop();
+        const std::uint64_t samples = slice_ns.snapshot().count - slices_before;
+        EXPECT_TRUE(b->faulted());
+        EXPECT_EQ(samples, 15u); // a: 10 slices; b: 5, the last one faulting
+        EXPECT_EQ(hub.scheduler().total_slices(), samples);
+        EXPECT_EQ(span_count("pump-slice"), samples);
+        EXPECT_EQ(run_ns.snapshot().count - runs_before, 1u);
+        EXPECT_EQ(span_count("dispatch:run"), 1u);
+    }
+
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    go::Histogram& capture = go::registry().histogram("replay.capture_ns");
+    go::Histogram& restore = go::registry().histogram("replay.restore_ns");
+    const std::uint64_t captures_before = capture.snapshot().count;
+    const std::uint64_t restores_before = restore.snapshot().count;
+    auto& ctl = scenario->controller();
+    go::tracer().start();
+    ASSERT_TRUE(ctl.execute_line("checkpoint auto 100").ok());
+    ASSERT_TRUE(ctl.execute_line("run 500").ok());
+    ASSERT_TRUE(ctl.execute_line("rewind 250").ok());
+    go::tracer().stop();
+    const std::uint64_t captures = capture.snapshot().count - captures_before;
+    const std::uint64_t restores = restore.snapshot().count - restores_before;
+    EXPECT_GT(captures, 0u);
+    EXPECT_GT(restores, 0u);
+    EXPECT_EQ(span_count("capture"), captures);
+    EXPECT_EQ(span_count("restore"), restores);
+    go::tracer().set_capacity(1 << 18); // restore the default for later tests
 }
 
 // ---- the metrics verb -------------------------------------------------------

@@ -213,6 +213,33 @@ TEST(Controller, RunRejectsJunkAndMissingHook) {
     EXPECT_EQ(bare.controller().execute_line("run 10").code, gp::ErrorCode::BadState);
 }
 
+// run, checkpoint auto and rewind read <ms> the same way: junk, negative,
+// non-finite and out-of-range values are bad arguments with each verb's
+// own message. run refuses 0; checkpoint auto 0 turns the cadence off.
+TEST(Controller, MsArgumentsRefuseJunkWithEachVerbsMessage) {
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    auto& ctl = scenario->controller();
+    const std::vector<std::pair<std::string, std::string>> verbs = {
+        {"run ", "' is not a positive duration"},
+        {"checkpoint auto ", "' is not a cadence in ms (>= 0)"},
+        {"rewind ", "' is not a time in ms (>= 0)"},
+    };
+    for (const auto& [verb, what] : verbs) {
+        for (const std::string arg : {"nope", "-5", "nan", "inf", "1e300"}) {
+            const gp::Response resp = ctl.execute_line(verb + arg);
+            EXPECT_EQ(resp.code, gp::ErrorCode::BadArgument) << verb << arg;
+            EXPECT_EQ(resp.message, "'" + arg + what) << verb << arg;
+        }
+    }
+    const gp::Response zero = ctl.execute_line("run 0");
+    EXPECT_EQ(zero.code, gp::ErrorCode::BadArgument);
+    EXPECT_EQ(zero.message, "'0' is not a positive duration");
+    const gp::Response off = ctl.execute_line("checkpoint auto 0");
+    ASSERT_TRUE(off.ok()) << off.message;
+    EXPECT_EQ(off.body, std::vector<std::string>{"checkpoint auto off"});
+}
+
 TEST(Controller, PauseStepResumeLifecycle) {
     ScriptedSession s;
     EXPECT_EQ(s.exec("resume").code, gp::ErrorCode::BadState);

@@ -122,10 +122,10 @@ LevelRun run_level(double fault_rate, std::uint32_t seed) {
                 (void)channel->drain_event_lines();
                 tally.latencies_us.push_back(benchjson::us_since(t0));
                 ++tally.requests;
-                // A disconnected channel after an error response is
-                // normal here — a protocol-error reply closes the
-                // socket and the next request redials. Lost is judged
-                // once, at the end.
+                // An error response is normal here: a corrupted byte
+                // becomes the hub's structured error, and a
+                // protocol-error frame is redialed and resent once
+                // before it surfaces. Lost is judged once, at the end.
                 if (!resp.ok()) ++tally.errors;
             }
             proto::Response probe = channel->execute_line("info");

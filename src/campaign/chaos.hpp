@@ -21,7 +21,8 @@
 //             not a malfunction), but the hub answered the final probe;
 //   lost      the hub sent no answer to the final probe: the channel
 //             reports its own transport failure (its redials ran out,
-//             or the server closed it over a protocol-error frame).
+//             or the probe's one resend after a protocol-error frame
+//             drew another).
 //
 // Zero unclassified clients and a live hub (an in-process probe after
 // the run answers coherently) is the pass condition gmdf_campaign

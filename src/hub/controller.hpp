@@ -183,16 +183,11 @@ public:
     /// memory without bound; the oldest lines are evicted and counted in
     /// stats().events_dropped). 0 is unbounded; defaults to 65536.
     void set_event_capacity(std::size_t capacity) { event_capacity_ = capacity; }
-    [[nodiscard]] std::size_t event_capacity() const { return event_capacity_; }
 
     [[nodiscard]] const HubStats& stats() const { return stats_; }
 
     /// This hub's scrape as Prometheus text (what GET /metrics serves).
     [[nodiscard]] std::string prometheus_text();
-
-    /// True once a second concurrent session has been opened (event
-    /// tagging is on for good).
-    [[nodiscard]] bool multi_session() const { return multi_; }
 
 private:
     struct Verb; ///< one row of the hub verb table (controller.cpp)

@@ -87,7 +87,6 @@ public:
     void run(const std::atomic<bool>& stop_flag, int timeout_ms = 5);
 
     [[nodiscard]] const ChaosStats& stats() const { return stats_; }
-    [[nodiscard]] std::size_t active_pairs() const { return pairs_.size(); }
 
 private:
     struct Pair;

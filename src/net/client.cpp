@@ -158,10 +158,11 @@ std::optional<proto::Response> Channel::roundtrip(std::string_view line,
             return *resp;
         }
         case FrameType::Error:
-            // The server diagnosed us and will close; redialing with the
-            // same traffic would only repeat the offence — not retryable.
+            // The server could not decode the request, so it did not run
+            // it, and closes: a redial and one resend runs it exactly once.
             shutdown();
-            return transport_error("protocol error: " + frame.payload);
+            set_error(error, "protocol error: " + frame.payload);
+            return std::nullopt;
         case FrameType::Done:
             break; // stray marker (skipped drain); keep reading
         default:
@@ -196,7 +197,9 @@ bool Channel::reconnect_once() {
     if (!session_.empty()) {
         std::optional<proto::Response> attached = roundtrip("attach " + session_,
                                                             nullptr);
-        if (!attached.has_value()) return false;
+        // A re-attach with no readable answer fails this redial; the
+        // next attempt re-attaches.
+        if (!attached.has_value() || is_transport_error(*attached)) return false;
         if (!last_done_) (void)drain_event_lines();
         // The session may be gone (closed while we were away): the
         // channel is still usable, just unattached.

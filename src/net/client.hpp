@@ -15,16 +15,19 @@
 // sockets with the codec directly (see bench/bench_p5_net.cpp).
 //
 // Resilience (opt-in via set_reconnect): when a send or read fails
-// mid-request, the channel redials with exponential backoff plus
-// deterministic jitter, re-shakes hands, re-attaches the session it was
-// last on (tracked from "current <name>"/"attached <name>" response
-// lines), and re-sends the failed request once. That is at-least-once
-// delivery — a request the server finished executing just before the
-// cut may run twice; the fleet protocol's verbs are either idempotent
-// or advance simulated time, which campaign workloads tolerate by
-// design. With reconnect off (the default) failures surface exactly as
-// before, as Internal "network: ..." error responses (is_transport_error
-// tells them from the hub's own errors).
+// mid-request, or the server answers with a protocol-error frame (it
+// could not decode the request, so it did not run it, and closes), the
+// channel redials with exponential backoff plus deterministic jitter,
+// re-shakes hands, re-attaches the session it was last on (tracked from
+// "current <name>"/"attached <name>" response lines), and re-sends the
+// failed request once. A redial counts only once its re-attach is
+// answered. That is at-least-once delivery — a request the server
+// finished executing just before the cut may run twice; the fleet
+// protocol's verbs are either idempotent or advance simulated time,
+// which campaign workloads tolerate by design. With reconnect off (the
+// default) failures surface exactly as before, as Internal
+// "network: ..." error responses (is_transport_error tells them from
+// the hub's own errors).
 #pragma once
 
 #include <cstdint>
@@ -80,8 +83,6 @@ public:
     /// execute_line reconnects when enabled).
     bool ping();
 
-    [[nodiscard]] bool connected() const { return fd_ >= 0; }
-
     void set_reconnect(ReconnectConfig config) {
         reconnect_ = config;
         reconnect_enabled_ = true;
@@ -107,9 +108,10 @@ private:
     /// Reads until a frame arrives; false on EOF/error.
     bool read_frame(Frame& out, std::string* error);
     void shutdown();
-    /// One request/response cycle with no redial logic. nullopt only on
-    /// a retryable transport failure (send/EOF/errno); protocol errors
-    /// come back as non-retryable error Responses.
+    /// One request/response cycle with no redial logic. nullopt on a
+    /// retryable failure — send, EOF, errno, or a server protocol-error
+    /// frame — with the reason in *error; an unparsable or unexpected
+    /// frame comes back as a non-retryable transport_error Response.
     std::optional<proto::Response> roundtrip(std::string_view line,
                                              std::string* error);
     /// Updates session_ from a successful response's body lines.

@@ -90,9 +90,6 @@ public:
     /// Human-readable reason once next() returned Error.
     [[nodiscard]] const std::string& error() const { return error_; }
 
-    /// Bytes buffered but not yet decoded.
-    [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
-
 private:
     std::size_t max_payload_;
     std::string buf_;

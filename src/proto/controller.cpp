@@ -19,6 +19,8 @@ namespace {
 
 constexpr std::size_t kMaxQueuedEvents = 4096;
 
+using ControlKind = replay::ControlOp::Kind;
+
 std::vector<std::string> split_lines(const std::string& text) {
     std::vector<std::string> out;
     std::string line;
@@ -225,6 +227,10 @@ void SessionController::push_event(Event ev) {
     session_->engine().note_event();
 }
 
+void SessionController::journal(replay::ControlOp op) {
+    if (timeline_ != nullptr) timeline_->note(std::move(op));
+}
+
 void SessionController::on_breakpoint_hit(int handle, const core::Breakpoint& bp,
                                           const link::Command& cmd, rt::SimTime t) {
     std::ostringstream os;
@@ -307,7 +313,7 @@ Response SessionController::cmd_pause(const Request& req) {
     if (session_->engine().state() == core::EngineState::Paused)
         return Response::make_error(ErrorCode::BadState, "already paused");
     session_->engine().pause();
-    if (timeline_ != nullptr) timeline_->note_pause();
+    journal({.kind = ControlKind::Pause});
     return Response::make_ok({"engine paused"});
 }
 
@@ -316,7 +322,7 @@ Response SessionController::cmd_resume(const Request& req) {
     if (session_->engine().state() != core::EngineState::Paused)
         return Response::make_error(ErrorCode::BadState, "not paused");
     session_->engine().resume();
-    if (timeline_ != nullptr) timeline_->note_resume();
+    journal({.kind = ControlKind::Resume});
     return Response::make_ok({"engine animating"});
 }
 
@@ -327,10 +333,10 @@ Response SessionController::cmd_step(const Request& req) {
                                     "not paused (set a breakpoint or 'pause' first)");
     if (!req.args.empty()) {
         session_->engine().set_step_filter({req.args[0]});
-        if (timeline_ != nullptr) timeline_->note_step_filter(req.args[0]);
+        journal({.kind = ControlKind::StepFilter, .actor = req.args[0]});
     }
     session_->engine().step();
-    if (timeline_ != nullptr) timeline_->note_step();
+    journal({.kind = ControlKind::Step});
     const auto& filter = session_->engine().step_filter();
     return Response::make_ok(
         {"stepping " + (filter.any() ? "any task" : filter.actor)});
@@ -340,9 +346,8 @@ Response SessionController::cmd_step_filter(const Request& req) {
     if (req.args.size() > 1) return bad_args("step-filter [actor]");
     session_->engine().set_step_filter(
         req.args.empty() ? link::StepFilter{} : link::StepFilter{req.args[0]});
-    if (timeline_ != nullptr)
-        timeline_->note_step_filter(req.args.empty() ? std::string{} : req.args[0]);
     const auto& filter = session_->engine().step_filter();
+    journal({.kind = ControlKind::StepFilter, .actor = filter.actor});
     return Response::make_ok({"step-filter " + (filter.any() ? "any" : filter.actor)});
 }
 
@@ -373,8 +378,7 @@ Response SessionController::cmd_break(const Request& req) {
             !engine.remove_breakpoint(static_cast<int>(*handle)))
             return Response::make_error(ErrorCode::NotFound,
                                         "no breakpoint " + req.args[1]);
-        if (timeline_ != nullptr)
-            timeline_->note_break_remove(static_cast<int>(*handle));
+        journal({.kind = ControlKind::BreakRemove, .handle = static_cast<int>(*handle)});
         return Response::make_ok({"breakpoint " + req.args[1] + " removed"});
     }
 
@@ -410,7 +414,7 @@ Response SessionController::cmd_break(const Request& req) {
             return bad_args("break add state|transition|signal <target> [once]");
         }
         int handle = engine.add_breakpoint(bp);
-        if (timeline_ != nullptr) timeline_->note_break_add(handle, bp);
+        journal({.kind = ControlKind::BreakAdd, .handle = handle, .bp = bp});
         return Response::make_ok({breakpoint_line(design, handle, bp)});
     }
 

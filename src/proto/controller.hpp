@@ -34,6 +34,7 @@ class DebugSession;
 } // namespace gmdf::core
 
 namespace gmdf::replay {
+struct ControlOp;
 class Timeline;
 } // namespace gmdf::replay
 
@@ -133,6 +134,8 @@ public:
 private:
     Response dispatch(const Request& req);
     void push_event(Event ev);
+    /// Journals a control action just applied, when a timeline is attached.
+    void journal(replay::ControlOp op);
 
     // Verb handlers.
     Response cmd_help(const Request& req);

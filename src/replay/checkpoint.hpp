@@ -39,7 +39,6 @@ public:
         byte_limit_ = limit;
         enforce();
     }
-    [[nodiscard]] std::size_t byte_limit() const { return byte_limit_; }
 
     /// Appends a checkpoint (times must be non-decreasing) and evicts
     /// the oldest entries past the byte budget.
@@ -75,11 +74,6 @@ public:
     [[nodiscard]] const std::deque<Checkpoint>& entries() const { return ring_; }
     [[nodiscard]] Stats stats() const {
         return {ring_.size(), total_bytes_, byte_limit_, captures_, evictions_};
-    }
-
-    void clear() {
-        ring_.clear();
-        total_bytes_ = 0;
     }
 
 private:

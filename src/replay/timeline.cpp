@@ -42,7 +42,6 @@ void Timeline::set_auto_period(rt::SimTime period) {
 }
 
 const Checkpoint* Timeline::capture_now(std::string* error) {
-    sync_journal();
     std::string who;
     if (!transports_replay_safe(&who)) {
         if (error != nullptr)
@@ -56,11 +55,6 @@ const Checkpoint* Timeline::capture_now(std::string* error) {
             cp.snap = capture_snapshot(*target_, *session_);
         }
         cp.journal_index = journal_base_ + journal_.size();
-        // A trailing run entry is still open — sync_journal extends it in
-        // place as time advances past this capture — so catch-up must
-        // start AT it; replay clamps its span to [cp.time, t].
-        if (!journal_.empty() && journal_.back().is_run)
-            cp.journal_index -= 1;
         store_.add(std::move(cp));
         return &store_.entries().back();
     } catch (const std::runtime_error& e) {
@@ -90,7 +84,6 @@ void Timeline::advance(rt::SimTime duration) {
     } else {
         target_->run_for(duration);
     }
-    sync_journal();
 }
 
 void Timeline::set_journal_capacity(std::size_t capacity) {
@@ -100,59 +93,16 @@ void Timeline::set_journal_capacity(std::size_t capacity) {
         ++journal_base_;
         ++journal_dropped_;
     }
+    // Checkpoints anchored before the surviving window can no longer
+    // catch up — rewind past them now refuses with its usual
+    // out-of-range/no-checkpoint error instead of replaying wrong.
     store_.drop_before_journal_index(journal_base_);
 }
 
-void Timeline::append_journal(JournalEntry e) {
-    if (journal_capacity_ != 0 && journal_.size() >= journal_capacity_) {
-        journal_.pop_front();
-        ++journal_base_;
-        ++journal_dropped_;
-        // Checkpoints anchored before the surviving window can no longer
-        // catch up — rewind past them now refuses with its usual
-        // out-of-range/no-checkpoint error instead of replaying wrong.
-        store_.drop_before_journal_index(journal_base_);
-    }
-    journal_.push_back(std::move(e));
-}
-
-void Timeline::sync_journal() {
-    rt::SimTime now = target_->sim().now();
-    if (now <= journal_time_) return;
-    if (!journal_.empty() && journal_.back().is_run) {
-        journal_.back().run_to = now;
-    } else {
-        JournalEntry e;
-        e.at = journal_time_;
-        e.is_run = true;
-        e.run_to = now;
-        append_journal(std::move(e));
-    }
-    journal_time_ = now;
-}
-
-void Timeline::note_control(ControlOp op) {
-    sync_journal();
-    JournalEntry e;
-    e.at = target_->sim().now();
-    e.op = std::move(op);
-    append_journal(std::move(e));
-}
-
-void Timeline::note_pause() { note_control({ControlOp::Kind::Pause, {}, 0, {}}); }
-void Timeline::note_resume() { note_control({ControlOp::Kind::Resume, {}, 0, {}}); }
-void Timeline::note_step() { note_control({ControlOp::Kind::Step, {}, 0, {}}); }
-
-void Timeline::note_step_filter(const std::string& actor) {
-    note_control({ControlOp::Kind::StepFilter, actor, 0, {}});
-}
-
-void Timeline::note_break_add(int handle, const core::Breakpoint& bp) {
-    note_control({ControlOp::Kind::BreakAdd, {}, handle, bp});
-}
-
-void Timeline::note_break_remove(int handle) {
-    note_control({ControlOp::Kind::BreakRemove, {}, handle, {}});
+void Timeline::note(ControlOp op) {
+    op.at = target_->sim().now();
+    journal_.push_back(std::move(op));
+    set_journal_capacity(journal_capacity_); // evicts the oldest past the bound
 }
 
 bool Timeline::transports_replay_safe(std::string* who) const {
@@ -187,8 +137,8 @@ void Timeline::apply_control(const ControlOp& op) {
     }
 }
 
-Timeline::ReplayStop Timeline::replay_span(const Checkpoint& cp, rt::SimTime t,
-                                           core::EngineObserver* extra) {
+std::size_t Timeline::replay_span(const Checkpoint& cp, rt::SimTime t,
+                                  core::EngineObserver* extra) {
     core::DebuggerEngine& engine = session_->engine();
     // Exception-safe replay scope: restore/load paths can throw, and the
     // dispatcher surfaces that as an internal error — the engine must
@@ -216,34 +166,20 @@ Timeline::ReplayStop Timeline::replay_span(const Checkpoint& cp, rt::SimTime t,
     // eviction time, so the start is always inside it.
     std::size_t i = cp.journal_index;
     rt::SimTime cur = cp.snap.time;
-    bool partial = false;
-    while (i - journal_base_ < journal_.size()) {
-        const JournalEntry& e = journal_[i - journal_base_];
-        if (e.is_run) {
-            rt::SimTime to = std::min(e.run_to, t);
-            if (to > cur) {
-                target_->run_for(to - cur);
-                cur = to;
-            }
-            if (e.run_to > t) {
-                partial = true;
-                break;
-            }
-            ++i;
-        } else {
-            // Controls stamped exactly at t belong to time t (trace
-            // events at t are retained, so the journal boundary must
-            // match); anything later is the discarded future.
-            if (e.at > t) break;
-            apply_control(e.op);
-            ++i;
+    for (; i - journal_base_ < journal_.size(); ++i) {
+        const ControlOp& op = journal_[i - journal_base_];
+        // Controls stamped exactly at t belong to time t (trace events at
+        // t are retained, so the journal boundary must match); anything
+        // later is the discarded future.
+        if (op.at > t) break;
+        if (op.at > cur) {
+            target_->run_for(op.at - cur);
+            cur = op.at;
         }
+        apply_control(op);
     }
-    // Paranoia: the journal always covers [0, now] via sync_journal, but
-    // never leave the clock short of the requested instant.
     if (cur < t) target_->run_for(t - cur);
-
-    return {i, partial};
+    return i;
 }
 
 void Timeline::rebuild_scene() {
@@ -256,7 +192,6 @@ void Timeline::rebuild_scene() {
 }
 
 std::optional<NavError> Timeline::rewind_to(rt::SimTime t) {
-    sync_journal();
     std::string who;
     if (!transports_replay_safe(&who))
         return NavError{NavError::Kind::NotDeterministic,
@@ -270,24 +205,19 @@ std::optional<NavError> Timeline::rewind_to(rt::SimTime t) {
     if (cp == nullptr)
         return out_of_range("no checkpoint at or before the requested time");
 
-    ReplayStop stop = replay_span(*cp, t, nullptr);
+    std::size_t next = replay_span(*cp, t, nullptr);
 
     // The future past t is now abandoned history: drop it everywhere.
-    journal_.resize((stop.partial_run ? stop.next_entry + 1 : stop.next_entry) -
-                    journal_base_);
-    if (stop.partial_run) journal_.back().run_to = t;
-    journal_time_ = t;
+    journal_.resize(next - journal_base_);
     session_->trace_recorder().truncate_after(t);
     session_->divergence_log().truncate_after(t);
     store_.drop_after(t);
     rebuild_scene();
     if (auto_period_ > 0) next_capture_ = (t / auto_period_ + 1) * auto_period_;
-    ++rewinds_;
     return std::nullopt;
 }
 
 std::optional<NavError> Timeline::step_back(std::size_t n) {
-    sync_journal();
     const auto& events = session_->trace().events();
     if (events.empty())
         return NavError{NavError::Kind::EmptyTrace,
@@ -303,7 +233,6 @@ std::optional<NavError> Timeline::step_back(std::size_t n) {
 
 BisectResult Timeline::bisect() {
     BisectResult res;
-    sync_journal();
     std::string who;
     if (!transports_replay_safe(&who)) {
         res.error =

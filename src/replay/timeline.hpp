@@ -2,9 +2,10 @@
 //
 // Combines three records to make any past sim-time reachable:
 //   - the CheckpointStore's periodic snapshots (anchor states),
-//   - a control journal of everything that influenced execution after
-//     each checkpoint (run segments, pause/resume/step, breakpoint
-//     add/remove — noted by the protocol controller), and
+//   - a control journal of the actions that steered execution
+//     (pause/resume/step, step filter, breakpoint add/remove — noted by
+//     the protocol controller), each stamped with the sim time it was
+//     applied at, so the gaps between stamps are the runs, and
 //   - the session's TraceRecorder (the observed command history, used
 //     for step-back targeting, scene rebuild, and bisect comparison).
 //
@@ -39,7 +40,8 @@ class DebugSession;
 
 namespace gmdf::replay {
 
-/// One recorded execution-affecting control action.
+/// One recorded execution-affecting control action. Built with
+/// designated initializers that name only the fields its kind uses.
 struct ControlOp {
     enum class Kind : std::uint8_t {
         Pause,
@@ -50,18 +52,10 @@ struct ControlOp {
         BreakRemove,
     };
     Kind kind = Kind::Pause;
-    std::string actor;    ///< StepFilter
-    int handle = 0;       ///< BreakAdd / BreakRemove
-    core::Breakpoint bp;  ///< BreakAdd
-};
-
-/// One journal record: either a run segment (target advanced to
-/// `run_to`) or a control action applied at sim time `at`.
-struct JournalEntry {
-    rt::SimTime at = 0;
-    bool is_run = false;
-    rt::SimTime run_to = 0;
-    ControlOp op;
+    rt::SimTime at = 0;     ///< sim time applied at (note() stamps it)
+    std::string actor{};    ///< StepFilter
+    int handle = 0;         ///< BreakAdd / BreakRemove
+    core::Breakpoint bp{};  ///< BreakAdd
 };
 
 /// Why a navigation request was refused. `earliest`/`latest` carry the
@@ -122,28 +116,24 @@ public:
 
     /// Run-hook implementation: advances the target by `duration`,
     /// sliced at cadence points so automatic checkpoints land exactly on
-    /// the configured grid, and journals the run segment.
+    /// the configured grid.
     void advance(rt::SimTime duration);
 
     // ---- journal (called by the protocol controller) -----------------------
 
-    void note_pause();
-    void note_resume();
-    void note_step();
-    void note_step_filter(const std::string& actor);
-    void note_break_add(int handle, const core::Breakpoint& bp);
-    void note_break_remove(int handle);
+    /// Journals a control action just applied to the engine, stamped
+    /// with the session clock.
+    void note(ControlOp op);
 
-    [[nodiscard]] std::size_t journal_size() const { return journal_.size(); }
-
-    /// Journal ring capacity in entries; 0 records unbounded. Like the
-    /// trace ring, the oldest entries are evicted past it — checkpoints
-    /// whose catch-up window they anchored are dropped with them, which
-    /// shrinks how far back rewind can reach (never its correctness).
+    /// Journal ring capacity in control actions; 0 records unbounded.
+    /// Like the trace ring, the oldest actions are evicted past it —
+    /// checkpoints whose catch-up window they anchored are dropped with
+    /// them, which shrinks how far back rewind can reach (never its
+    /// correctness).
     void set_journal_capacity(std::size_t capacity);
     [[nodiscard]] std::size_t journal_capacity() const { return journal_capacity_; }
 
-    /// Journal entries evicted because the ring was full.
+    /// Control actions evicted because the ring was full.
     [[nodiscard]] std::uint64_t journal_dropped() const { return journal_dropped_; }
 
     // ---- navigation --------------------------------------------------------
@@ -157,50 +147,37 @@ public:
 
     [[nodiscard]] BisectResult bisect();
 
-    [[nodiscard]] std::uint64_t rewinds() const { return rewinds_; }
-
     /// The session clock (convenience for protocol responses).
     [[nodiscard]] rt::SimTime now() const;
 
 private:
-    struct ReplayStop {
-        std::size_t next_entry = 0; ///< first journal entry not fully applied
-        bool partial_run = false;   ///< that entry is a run clamped at t
-    };
-
-    /// Journals any time advance that happened outside advance() (hub
-    /// scheduler pumps, direct target runs).
-    void sync_journal();
-    void note_control(ControlOp op);
-    /// Appends under the ring capacity: evicts the oldest entry (and any
-    /// checkpoint stranded before the new window) when full.
-    void append_journal(JournalEntry e);
     [[nodiscard]] bool transports_replay_safe(std::string* who) const;
     NavError out_of_range(std::string detail) const;
 
     /// Restores `cp` and re-executes forward to `t` in replay mode,
-    /// re-applying journaled control actions; `extra` (may be null) is
-    /// registered as a replay-aware observer for the duration.
-    ReplayStop replay_span(const Checkpoint& cp, rt::SimTime t,
-                           core::EngineObserver* extra);
+    /// running up to each journaled control stamped at or before t and
+    /// re-applying it; `extra` (may be null) is registered as a
+    /// replay-aware observer for the duration. Returns the absolute
+    /// journal index of the first control not applied.
+    std::size_t replay_span(const Checkpoint& cp, rt::SimTime t,
+                            core::EngineObserver* extra);
     void apply_control(const ControlOp& op);
     void rebuild_scene();
 
     rt::Target* target_;
     core::DebugSession* session_;
     CheckpointStore store_;
-    /// Journal ring. Checkpoint.journal_index stays an *absolute* index
-    /// (entries ever appended); journal_base_ is the absolute index of
-    /// journal_.front(), so eviction never invalidates stored indices.
-    std::deque<JournalEntry> journal_;
+    /// Journal ring, in time order. Checkpoint.journal_index stays an
+    /// *absolute* index (controls ever journaled); journal_base_ is the
+    /// absolute index of journal_.front(), so eviction never invalidates
+    /// stored indices.
+    std::deque<ControlOp> journal_;
     std::size_t journal_base_ = 0;
     std::size_t journal_capacity_ = 65536;
     std::uint64_t journal_dropped_ = 0;
-    rt::SimTime journal_time_ = 0;
     rt::SimTime auto_period_ = 0;
     rt::SimTime next_capture_ = 0;
     bool replaying_ = false;
-    std::uint64_t rewinds_ = 0;
 };
 
 } // namespace gmdf::replay

@@ -293,7 +293,6 @@ public:
         fault_at_ = at;
         fault_message_ = std::move(message);
     }
-    [[nodiscard]] bool fault_armed() const { return fault_at_ >= 0; }
 
     /// Target halt control (what a JTAG halt / model-level breakpoint
     /// does): while paused, task releases are suppressed.

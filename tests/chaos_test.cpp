@@ -3,17 +3,23 @@
 // runaway sessions, `session revive` checkpoint restore, the hardened
 // network layer (mid-request disconnects, idle timeouts with heartbeat
 // keep-alive, accept load-shed), torn-frame-then-reconnect session
-// resume and intact multi-chunk bursts through net::ChaosProxy, a seeded
-// 10%-fault chaos campaign, and the bounded divergence/journal rings.
+// resume and intact multi-chunk bursts through net::ChaosProxy, the
+// channel's redial after a protocol-error frame (against a scripted
+// stub server), a seeded 10%-fault chaos campaign, and the bounded
+// divergence/journal rings.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "campaign/chaos.hpp"
 #include "core/observer.hpp"
@@ -374,6 +380,173 @@ TEST(ChaosProxy, ForwardsAMultiChunkBurstIntact) {
     EXPECT_EQ(proxy.stats().torn + proxy.stats().corruptions, 0u);
 }
 
+// ---- channel retry after a protocol-error frame ------------------------------
+
+/// What a StubServer connection does with one request.
+struct StubAnswer {
+    enum class Kind { Ok, Garbled, ProtocolError, Drop };
+    Kind kind = Kind::Ok;
+    std::string body; ///< Ok: the response's one body line
+};
+
+/// A scripted frame-codec server on a background thread. It serves one
+/// connection at a time: shakes hands, then hands each request line to
+/// `answer` with the connection's number (0, 1, ...). Ok replies with
+/// a response and a done marker; Garbled does too, with one byte of the
+/// response flipped so it no longer parses; ProtocolError sends an
+/// Error frame and closes, as net::Server does for a frame it cannot
+/// decode; Drop closes without a reply. Every request line is recorded
+/// per connection.
+class StubServer {
+public:
+    using Answer = std::function<StubAnswer(int conn, const std::string& line)>;
+
+    explicit StubServer(Answer answer) : answer_(std::move(answer)) {
+        listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+        EXPECT_EQ(::listen(listen_fd_, 8), 0);
+        EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this] { serve(); });
+    }
+
+    ~StubServer() { join(); }
+
+    StubServer(const StubServer&) = delete;
+    StubServer& operator=(const StubServer&) = delete;
+
+    /// Stops accepting; `requests` is safe to read afterwards.
+    void join() {
+        if (!thread_.joinable()) return;
+        ::shutdown(listen_fd_, SHUT_RDWR); // wakes the blocked accept
+        thread_.join();
+        ::close(listen_fd_);
+    }
+
+    [[nodiscard]] std::uint16_t port() const { return port_; }
+
+    std::vector<std::vector<std::string>> requests; ///< per connection
+
+private:
+    void serve() {
+        while (true) {
+            const int fd = ::accept(listen_fd_, nullptr, nullptr);
+            if (fd < 0) return;
+            requests.emplace_back();
+            serve_connection(fd, static_cast<int>(requests.size()) - 1);
+            ::close(fd);
+        }
+    }
+
+    void serve_connection(int fd, int conn) {
+        char magic[4] = {};
+        if (::recv(fd, magic, sizeof(magic), MSG_WAITALL) != sizeof(magic)) return;
+        gn::FrameReader reader;
+        gn::Frame frame;
+        if (!raw_read_frame(fd, reader, frame)) return; // the hello
+        raw_send(fd, gn::encode_frame(gn::FrameType::Hello, gn::hello_payload()));
+        while (raw_read_frame(fd, reader, frame)) {
+            requests.back().push_back(frame.payload);
+            const StubAnswer a = answer_(conn, frame.payload);
+            if (a.kind == StubAnswer::Kind::Drop) return;
+            if (a.kind == StubAnswer::Kind::ProtocolError) {
+                raw_send(fd, gn::encode_frame(gn::FrameType::Error,
+                                              "frame of 16711693 bytes exceeds the "
+                                              "1048576-byte payload limit"));
+                return;
+            }
+            std::string response = gp::format_response(gp::Response::make_ok({a.body}));
+            if (a.kind == StubAnswer::Kind::Garbled) response[1] = '?'; // "o?"
+            raw_send(fd, gn::encode_frame(gn::FrameType::Response, response) +
+                             gn::encode_frame(gn::FrameType::Done, {}));
+        }
+    }
+
+    Answer answer_;
+    int listen_fd_ = -1;
+    std::uint16_t port_ = 0;
+    std::thread thread_;
+};
+
+std::unique_ptr<gn::Channel> dial_with_reconnect(std::uint16_t port) {
+    std::string error;
+    auto channel = gn::Channel::connect("127.0.0.1", port, &error);
+    EXPECT_NE(channel, nullptr) << error;
+    if (channel == nullptr) return nullptr;
+    gn::Channel::ReconnectConfig rc;
+    rc.max_attempts = 5;
+    rc.base_delay_ms = 2;
+    rc.jitter_seed = 7;
+    channel->set_reconnect(rc);
+    return channel;
+}
+
+// The server never runs a request it answered with a protocol-error
+// frame, so the channel redials and resends it once, like a cut.
+TEST(ChannelRetry, ProtocolErrorFrameIsRedialedAndResentOnce) {
+    StubServer stub([](int conn, const std::string& line) {
+        if (line == "attach s") return StubAnswer{StubAnswer::Kind::Ok, "attached s"};
+        if (conn == 0) return StubAnswer{StubAnswer::Kind::ProtocolError, {}};
+        return StubAnswer{StubAnswer::Kind::Ok, "led 1"};
+    });
+    auto channel = dial_with_reconnect(stub.port());
+    ASSERT_NE(channel, nullptr);
+    ASSERT_TRUE(channel->execute_line("attach s").ok());
+    (void)channel->drain_event_lines();
+
+    gp::Response resp = channel->execute_line("query signal led");
+    (void)channel->drain_event_lines();
+    EXPECT_TRUE(resp.ok()) << resp.message;
+    EXPECT_EQ(channel->reconnects(), 1u);
+    EXPECT_EQ(channel->session(), "s");
+    channel.reset();
+
+    stub.join();
+    ASSERT_EQ(stub.requests.size(), 2u);
+    EXPECT_EQ(stub.requests[1],
+              (std::vector<std::string>{"attach s", "query signal led"}));
+}
+
+// A re-attach that draws a protocol-error frame, or an answer that does
+// not parse, fails that redial: the channel keeps its session and
+// resends the request only after an attach that succeeded, never on the
+// server's default session.
+TEST(ChannelRetry, UnansweredReattachFailsThatRedialAttempt) {
+    using Kind = StubAnswer::Kind;
+    for (Kind reattach : {Kind::ProtocolError, Kind::Garbled}) {
+        SCOPED_TRACE(reattach == Kind::Garbled ? "garbled" : "protocol error");
+        StubServer stub([reattach](int conn, const std::string& line) {
+            if (conn == 0 && line == "query one") return StubAnswer{Kind::Drop, {}};
+            if (conn == 1) return StubAnswer{reattach, "attached s"};
+            if (line == "attach s") return StubAnswer{Kind::Ok, "attached s"};
+            return StubAnswer{Kind::Ok, line};
+        });
+        auto channel = dial_with_reconnect(stub.port());
+        ASSERT_NE(channel, nullptr);
+        ASSERT_TRUE(channel->execute_line("attach s").ok());
+        (void)channel->drain_event_lines();
+
+        gp::Response resp = channel->execute_line("query one");
+        (void)channel->drain_event_lines();
+        EXPECT_TRUE(resp.ok()) << resp.message;
+        EXPECT_EQ(channel->session(), "s");
+        EXPECT_EQ(channel->reconnects(), 1u);
+        EXPECT_TRUE(channel->execute_line("query two").ok());
+        (void)channel->drain_event_lines();
+        channel.reset();
+
+        stub.join();
+        ASSERT_EQ(stub.requests.size(), 3u);
+        EXPECT_EQ(stub.requests[1], std::vector<std::string>{"attach s"});
+        EXPECT_EQ(stub.requests[2],
+                  (std::vector<std::string>{"attach s", "query one", "query two"}));
+    }
+}
+
 TEST(ChaosCampaign, TenPercentFaultsZeroHubCrashesZeroUnclassified) {
     gc::ChaosCampaignConfig cfg;
     cfg.clients = 10;
@@ -448,8 +621,8 @@ TEST(BoundedRings, TimelineJournalEvictsAndSurfacesInQueryStats) {
     ASSERT_NE(scenario, nullptr);
     scenario->timeline->set_journal_capacity(4);
 
-    // Consecutive runs coalesce into one open journal entry, so
-    // interleave control ops — each pause/resume journals separately.
+    // Only control actions are journaled: 16 pauses and resumes overrun
+    // a ring of 4.
     for (int i = 0; i < 8; ++i) {
         ASSERT_TRUE(scenario->controller().execute_line("run 10").ok());
         ASSERT_TRUE(scenario->controller().execute_line("pause").ok());
@@ -469,6 +642,20 @@ TEST(BoundedRings, TimelineJournalEvictsAndSurfacesInQueryStats) {
     EXPECT_TRUE(scenario->controller().execute_line("checkpoint now").ok());
     EXPECT_TRUE(scenario->controller().execute_line("run 10").ok());
     EXPECT_TRUE(scenario->controller().execute_line("rewind 80").ok());
+}
+
+// Runs take no journal space: a ring of 2 holds the two controls below,
+// so the checkpoint before them stays a rewind anchor.
+TEST(BoundedRings, RunsDoNotConsumeJournalCapacity) {
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    scenario->timeline->set_journal_capacity(2);
+    for (const char* line :
+         {"checkpoint now", "run 10", "pause", "run 10", "resume", "run 10"})
+        ASSERT_TRUE(scenario->controller().execute_line(line).ok()) << line;
+    EXPECT_EQ(scenario->timeline->journal_dropped(), 0u);
+    gp::Response rewound = scenario->controller().execute_line("rewind 5");
+    EXPECT_TRUE(rewound.ok()) << rewound.message;
 }
 
 } // namespace

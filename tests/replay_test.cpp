@@ -221,6 +221,39 @@ TEST(Rewind, ReplaysJournaledControlActions) {
     expect_ok(*s, "resume");
     expect_ok(*s, "run 500");
     EXPECT_EQ(s->session->vcd(), vcd1);
+
+    // The same script hosted in a hub, next to a turntable session b: the
+    // pump moves a's clock, and a's timeline hears only of its controls.
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("pump threads " + std::to_string(threads));
+        gmdf::hub::HubController hub;
+        hub.scheduler().set_threads(threads);
+        ASSERT_NE(hub.open("blinker", "a"), nullptr);
+        ASSERT_NE(hub.open("turntable", "b"), nullptr);
+        auto hub_ok = [&hub](const char* line) {
+            auto r = hub.execute_line(line);
+            EXPECT_TRUE(r.ok()) << line << " -> " << r.message;
+        };
+        for (const char* line : {"@a checkpoint auto 100", "run 300",
+                                 "@a break add state on", "run 700", "@a resume", "run 500"})
+            hub_ok(line);
+        const auto& entries = hub.registry().entries();
+        gp::Scenario& a = *entries[0]->scenario;
+        gp::Scenario& b = *entries[1]->scenario;
+        ASSERT_EQ(a.session->engine().state(), EngineState::Paused);
+        const std::string a_vcd = a.session->vcd();
+        const std::string b_vcd = b.session->vcd();
+        const rt::SimTime b_now = b.target.sim().now();
+
+        auto rewound = hub.execute_line("@a rewind 320");
+        ASSERT_TRUE(rewound.ok()) << rewound.message;
+        EXPECT_EQ(a.session->engine().state(), EngineState::Paused);
+        EXPECT_EQ(b.target.sim().now(), b_now);
+        EXPECT_EQ(b.session->vcd(), b_vcd);
+
+        for (const char* line : {"run 680", "@a resume", "run 500"}) hub_ok(line);
+        EXPECT_EQ(a.session->vcd(), a_vcd);
+    }
 }
 
 // A control op stamped exactly at the rewind target belongs to time t
@@ -241,6 +274,27 @@ TEST(Rewind, ControlsAtTheExactTargetInstantAreReplayed) {
         << "the pause issued at the rewind instant must be replayed";
 
     expect_ok(*s, "run 200");
+    EXPECT_EQ(s->session->vcd(), vcd1);
+}
+
+// Each journaled control replays at its own sim time: a rewind between a
+// pause and the resume after it lands paused, and the re-run from there
+// reproduces the original execution.
+TEST(Rewind, ControlsReplayAtTheirOwnSimTime) {
+    auto s = gp::make_scenario("blinker");
+    ASSERT_NE(s, nullptr);
+    for (const char* line :
+         {"checkpoint now", "run 250", "pause", "run 100", "resume", "run 200"})
+        expect_ok(*s, line);
+    std::string vcd1 = s->session->vcd();
+
+    // The blinker releases every 100 ms: a pause replayed early would
+    // suppress the releases at 100 and 200 ms.
+    auto resp = exec(*s, "rewind 300");
+    ASSERT_TRUE(resp.ok()) << resp.message;
+    EXPECT_EQ(s->session->engine().state(), EngineState::Paused)
+        << "the pause at 250 ms must replay, the resume at 350 ms must not";
+    for (const char* line : {"run 50", "resume", "run 200"}) expect_ok(*s, line);
     EXPECT_EQ(s->session->vcd(), vcd1);
 }
 

@@ -72,7 +72,6 @@ LevelRun run_level(double fault_rate, std::uint32_t seed) {
     chaos.upstream_port = server.port();
     chaos.seed = seed;
     chaos.fault_rate = fault_rate;
-    chaos.stall_ms = 3;
     net::ChaosProxy proxy(chaos);
     if (!proxy.start()) {
         stop_server.store(true);

@@ -31,8 +31,6 @@ ChaosOutcome chaos_outcome(const proto::Response& probe, std::uint64_t errors,
 
 namespace {
 
-/// How long the proxy parks a stalled chunk.
-constexpr int kStallMs = 3;
 /// Redial policy handed to every client channel; the initial dial
 /// retries as often.
 constexpr int kReconnectAttempts = 8;
@@ -109,7 +107,6 @@ ChaosReport run_chaos_campaign(const ChaosCampaignConfig& cfg) {
     proxy_cfg.upstream_port = server.port();
     proxy_cfg.seed = cfg.seed;
     proxy_cfg.fault_rate = cfg.fault_rate;
-    proxy_cfg.stall_ms = kStallMs;
     net::ChaosProxy proxy(proxy_cfg);
     std::atomic<bool> stop_proxy{false};
     std::thread proxy_thread;

@@ -21,8 +21,8 @@
 //             not a malfunction), but the hub answered the final probe;
 //   lost      the hub sent no answer to the final probe: the channel
 //             reports its own transport failure (its redials ran out,
-//             or the probe's one resend after a protocol-error frame
-//             drew another).
+//             or the probe's one resend after a cut, a protocol-error
+//             frame or an unparsable response drew another).
 //
 // Zero unclassified clients and a live hub (an in-process probe after
 // the run answers coherently) is the pass condition gmdf_campaign

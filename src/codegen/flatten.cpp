@@ -39,6 +39,12 @@ public:
 
     [[nodiscard]] std::uint32_t cost_cycles() const override { return cost_; }
 
+    void save_state(std::vector<double>& out) const override { inner_.save_state(out); }
+
+    std::size_t load_state(std::span<const double> in) override {
+        return inner_.load_state(in);
+    }
+
 private:
     SubProgram inner_;
     std::uint32_t cost_;
@@ -57,7 +63,7 @@ public:
     ModalKernel(ObjectId modal_id, std::vector<ModeEntry> modes, std::size_t n_outputs,
                 ProgramObserver* observer)
         : modal_id_(modal_id), modes_(std::move(modes)), n_outputs_(n_outputs),
-          observer_(observer) {
+          observer_(observer), held_(n_outputs, 0.0) {
         cost_ = 12;
         std::uint32_t worst = 0;
         for (const auto& m : modes_)
@@ -73,7 +79,6 @@ public:
     }
 
     void step(std::span<const double> in, std::span<double> out, double dt) override {
-        if (held_.size() != n_outputs_) held_.assign(n_outputs_, 0.0);
         auto selector = static_cast<std::int64_t>(std::llround(in[0]));
         int which = -1;
         for (std::size_t i = 0; i < modes_.size(); ++i)
@@ -94,13 +99,32 @@ public:
 
     [[nodiscard]] std::uint32_t cost_cycles() const override { return cost_; }
 
+    /// Active mode (-1: none yet), held outputs, then every mode's
+    /// program, active or not: an inactive mode resumes where it left.
+    void save_state(std::vector<double>& out) const override {
+        out.push_back(static_cast<double>(active_));
+        out.insert(out.end(), held_.begin(), held_.end());
+        for (const auto& m : modes_) m.program.save_state(out);
+    }
+
+    std::size_t load_state(std::span<const double> in) override {
+        std::size_t used = 1 + n_outputs_;
+        if (in.size() < used) throw std::runtime_error("kernel state truncated");
+        if (!(in[0] >= -1.0 && in[0] < static_cast<double>(modes_.size())))
+            throw std::runtime_error("modal FB mode out of range");
+        active_ = static_cast<int>(in[0]);
+        held_.assign(in.begin() + 1, in.begin() + static_cast<std::ptrdiff_t>(used));
+        for (auto& m : modes_) used += m.program.load_state(in.subspan(used));
+        return used;
+    }
+
 private:
     ObjectId modal_id_;
     std::vector<ModeEntry> modes_;
     std::size_t n_outputs_;
     ProgramObserver* observer_;
     std::uint32_t cost_ = 0;
-    std::vector<double> held_;
+    std::vector<double> held_; ///< n_outputs_ values
     int active_ = -1;
 };
 

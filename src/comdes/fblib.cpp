@@ -248,6 +248,13 @@ public:
         return 10 + 6 * static_cast<std::uint32_t>(n_vars_);
     }
 
+    /// Stateless: the output is a function of this scan's inputs alone.
+    void save_state(std::vector<double>& out) const override { (void)out; }
+    std::size_t load_state(std::span<const double> in) override {
+        (void)in;
+        return 0;
+    }
+
 private:
     expr::CompiledExpr compiled_;
     std::size_t n_vars_;

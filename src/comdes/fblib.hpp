@@ -94,16 +94,14 @@ public:
 
     /// Checkpoint support (gmdf::replay): appends the kernel's mutable
     /// state as doubles, bit-exact (integers and booleans widen
-    /// losslessly into the double payload). Stateless kernels keep the
-    /// no-op default.
-    virtual void save_state(std::vector<double>& out) const { (void)out; }
+    /// losslessly into the double payload). Pure virtual, so no kernel
+    /// drops out of a checkpoint by inheriting a no-op: a stateless one
+    /// says so in its own override.
+    virtual void save_state(std::vector<double>& out) const = 0;
 
     /// Restores what save_state wrote; returns the number of values
     /// consumed from the front of `in`.
-    virtual std::size_t load_state(std::span<const double> in) {
-        (void)in;
-        return 0;
-    }
+    virtual std::size_t load_state(std::span<const double> in) = 0;
 };
 
 /// Builds the kernel for a BasicFB model object; throws on unknown kind,

@@ -9,33 +9,6 @@ namespace gmdf::expr {
 
 namespace {
 
-/// Possible-kind bitmask for the numeric-fast-path analysis (slots are
-/// assumed Real, which is the contract of run(span<double>)).
-constexpr int kBool = 1;
-constexpr int kInt = 2;
-constexpr int kReal = 4;
-
-bool may_int(int mask) { return (mask & kInt) != 0; }
-
-int mask_of(const VmValue& v) {
-    switch (v.tag) {
-    case VmValue::Tag::Bool: return kBool;
-    case VmValue::Tag::Int: return kInt;
-    case VmValue::Tag::Real: return kReal;
-    }
-    return kReal;
-}
-
-/// Result mask of an interpreter arithmetic/unary-minus node: Int only
-/// when both operands can be Int; Real whenever either side can take the
-/// numeric (promoting) path.
-int arith_mask(int l, int r) {
-    int m = 0;
-    if ((l & kInt) && (r & kInt)) m |= kInt;
-    if ((l & (kBool | kReal)) || (r & (kBool | kReal))) m |= kReal;
-    return m == 0 ? kReal : m;
-}
-
 bool const_eq(const VmValue& a, const VmValue& b) {
     if (a.tag != b.tag) return false;
     switch (a.tag) {
@@ -80,26 +53,13 @@ public:
     explicit Compiler(const SlotResolver& slots) : resolver_(slots) {}
 
     CompiledExpr compile(const Expr& e) {
-        EmitResult r = gen(e);
-        materialize(r);
+        gen_mat(e);
         emit(Op::Ret);
         prog_.max_stack_ = max_depth_;
-        prog_.numeric_ok_ = !has_fail_ && !numeric_bad_;
-        prog_.consts_num_.reserve(prog_.consts_.size());
-        for (const VmValue& v : prog_.consts_) prog_.consts_num_.push_back(v.as_number());
         return std::move(prog_);
     }
 
 private:
-    /// Outcome of generating one subtree: either code has been emitted
-    /// that leaves exactly one value on the stack (is_const == false), or
-    /// NOTHING was emitted and `cval` is the folded constant.
-    struct EmitResult {
-        int mask = kReal;
-        bool is_const = false;
-        VmValue cval;
-    };
-
     // ---- pure constant folding (no emission) ---------------------------
 
     /// Folds `e` to a constant when every reachable part is constant and
@@ -190,7 +150,6 @@ private:
         prog_.names_.push_back(name);
         emit(Op::Fail, static_cast<std::int32_t>(status), idx);
         note_push();
-        has_fail_ = true;
     }
 
     std::size_t emit_branch(Op op) {
@@ -204,54 +163,43 @@ private:
     }
 
     /// Generates code leaving one value on the stack; folded constants
-    /// are pushed. Returns the possible-kind mask.
-    int gen_mat(const Expr& e) {
-        EmitResult r = gen(e);
-        materialize(r);
-        return r.mask;
+    /// are pushed.
+    void gen_mat(const Expr& e) {
+        if (std::optional<VmValue> folded = gen(e)) push_const(*folded);
     }
 
-    void materialize(const EmitResult& r) {
-        if (r.is_const) push_const(r.cval);
-    }
-
-    EmitResult gen(const Expr& e) {
-        if (auto cv = try_fold(e)) return {mask_of(*cv), true, *cv};
+    /// Generates one subtree: either emits code that leaves exactly one
+    /// value on the stack and returns nullopt, or emits NOTHING and
+    /// returns the folded constant.
+    std::optional<VmValue> gen(const Expr& e) {
+        if (auto cv = try_fold(e)) return cv;
 
         if (const auto* n = std::get_if<VarRef>(&e.node)) {
             int slot = resolver_(n->name);
             if (slot < 0) {
                 emit_fail(VmStatus::UnknownVar, n->name);
-                return {kReal, false, {}};
+                return {};
             }
             emit(Op::LoadSlot, slot);
             note_push();
             if (static_cast<std::uint32_t>(slot) + 1 > prog_.slot_count_)
                 prog_.slot_count_ = static_cast<std::uint32_t>(slot) + 1;
-            return {kReal, false, {}}; // run(span<double>) slots are Real
+            return {};
         }
 
         if (const auto* n = std::get_if<Unary>(&e.node)) {
-            int m = gen_mat(*n->operand);
-            if (n->op == UnOp::Not) {
-                emit(Op::Not);
-                return {kBool, false, {}};
-            }
-            emit(Op::Neg);
-            return {arith_mask(m, m), false, {}};
+            gen_mat(*n->operand);
+            emit(n->op == UnOp::Not ? Op::Not : Op::Neg);
+            return {};
         }
 
         if (const auto* n = std::get_if<Binary>(&e.node)) {
             if (n->op == BinOp::And || n->op == BinOp::Or) return gen_logic(*n);
-            int lm = gen_mat(*n->lhs);
-            int rm = gen_mat(*n->rhs);
+            gen_mat(*n->lhs);
+            gen_mat(*n->rhs);
             emit(bin_op(n->op));
             --depth_;
-            if (is_arith(n->op)) {
-                if (may_int(lm) && may_int(rm)) numeric_bad_ = true;
-                return {arith_mask(lm, rm), false, {}};
-            }
-            return {kBool, false, {}};
+            return {};
         }
 
         if (const auto* n = std::get_if<Conditional>(&e.node)) {
@@ -260,51 +208,47 @@ private:
             gen_mat(*n->cond);
             std::size_t br = emit_branch(Op::BrFalse);
             std::uint32_t base = depth_;
-            int tm = gen_mat(*n->then_e);
+            gen_mat(*n->then_e);
             std::size_t jmp = prog_.code_.size();
             emit(Op::Jump);
             patch(br);
             depth_ = base; // else branch starts at the pre-then depth
-            int em = gen_mat(*n->else_e);
+            gen_mat(*n->else_e);
             patch(jmp);
-            return {tm | em, false, {}};
+            return {};
         }
 
         if (const auto* n = std::get_if<Call>(&e.node)) {
             const BuiltinSpec* spec = find_builtin(n->fn);
-            int arg_masks[4] = {kReal, kReal, kReal, kReal};
-            for (std::size_t i = 0; i < n->args.size(); ++i) {
-                int m = gen_mat(*n->args[i]);
-                if (i < 4) arg_masks[i] = m;
-            }
+            for (const ExprPtr& arg : n->args) gen_mat(*arg);
             if (spec == nullptr || static_cast<int>(n->args.size()) != spec->arity) {
                 // The interpreter evaluates arguments before discovering
                 // the bad call, so the trap comes after the argument code.
                 depth_ -= static_cast<std::uint32_t>(n->args.size());
                 emit_fail(VmStatus::BadCall, n->fn);
-                return {kReal, false, {}};
+                return {};
             }
             emit(Op::Call, static_cast<std::int32_t>(spec->id),
                  static_cast<std::int32_t>(spec->arity));
             depth_ -= static_cast<std::uint32_t>(spec->arity) - 1;
-            return {call_mask(spec->id, arg_masks), false, {}};
+            return {};
         }
 
         // Literals are always folded by try_fold; unreachable.
-        return {kReal, false, {}};
+        return {};
     }
 
     /// Short-circuit And/Or lowering. try_fold already handled the
     /// constant-lhs-falsy (And) / truthy (Or) cases where the whole
     /// node folds; a constant lhs that passes the gate reduces to
     /// Truthy(rhs).
-    EmitResult gen_logic(const Binary& n) {
+    std::optional<VmValue> gen_logic(const Binary& n) {
         bool is_and = n.op == BinOp::And;
         if (auto l = try_fold(*n.lhs)) {
             // Gate passed (else try_fold would have folded the node).
             gen_mat(*n.rhs);
             emit(Op::Truthy);
-            return {kBool, false, {}};
+            return {};
         }
         gen_mat(*n.lhs);
         std::size_t br = emit_branch(is_and ? Op::BrFalse : Op::BrTrue);
@@ -317,30 +261,13 @@ private:
         depth_ = base;
         push_const(VmValue::of_bool(!is_and));
         patch(jmp);
-        return {kBool, false, {}};
-    }
-
-    static int call_mask(Builtin id, const int* a) {
-        switch (id) {
-        case Builtin::Min: case Builtin::Max: return arith_mask(a[0], a[1]);
-        case Builtin::Abs: return arith_mask(a[0], a[0]);
-        case Builtin::Clamp: {
-            int m = 0;
-            if ((a[0] & kInt) && (a[1] & kInt) && (a[2] & kInt)) m |= kInt;
-            if (((a[0] | a[1] | a[2]) & (kBool | kReal)) != 0) m |= kReal;
-            return m == 0 ? kReal : m;
-        }
-        case Builtin::Sign: return kInt;
-        default: return kReal;
-        }
+        return {};
     }
 
     CompiledExpr prog_;
     const SlotResolver& resolver_;
     std::uint32_t depth_ = 0;
     std::uint32_t max_depth_ = 0;
-    bool has_fail_ = false;
-    bool numeric_bad_ = false;
 };
 
 CompiledExpr compile(const Expr& e, const SlotResolver& slots) {

@@ -11,9 +11,7 @@
 //    the program so the fault stays a runtime result code);
 //  - short-circuit structure lowers to branches, so an unknown variable
 //    or bad call only faults if its instruction is reached, exactly like
-//    the interpreter;
-//  - a type analysis marks programs that can run on the unboxed double
-//    fast path (CompiledExpr::numeric_fast_path()).
+//    the interpreter.
 #pragma once
 
 #include <functional>

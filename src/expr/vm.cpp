@@ -9,12 +9,17 @@ namespace {
 
 /// Stack frames this deep live on the C stack; compile() keeps typical
 /// expressions far below this, and deeper programs fall back to a heap
-/// buffer (still correct, just off the fast path).
+/// buffer (still correct, one allocation per run).
 constexpr std::uint32_t kInlineStack = 64;
 
 double numeric(const VmValue& v) { return v.as_number(); }
 
 bool both_int(const VmValue& a, const VmValue& b) { return a.is_int() && b.is_int(); }
+
+/// LoadSlot's view of a slot: a tagged slot as it is, a double slot as
+/// Real.
+VmValue load(const VmValue& v) { return v; }
+VmValue load(double d) { return VmValue::of_real(d); }
 
 } // namespace
 
@@ -118,28 +123,6 @@ using vmops::arith;
 using vmops::call_builtin;
 using vmops::compare;
 
-/// Double-only builtin call: only taken on numeric-fast-path programs,
-/// where the interpreter would take the real branch anyway (or where the
-/// Int/Real distinction provably cannot alter the coerced result).
-double call_builtin_num(Builtin fn, const double* args) {
-    switch (fn) {
-    case Builtin::Min: return std::min(args[0], args[1]);
-    case Builtin::Max: return std::max(args[0], args[1]);
-    case Builtin::Abs: return std::fabs(args[0]);
-    case Builtin::Clamp: return std::min(std::max(args[0], args[1]), args[2]);
-    case Builtin::Floor: return std::floor(args[0]);
-    case Builtin::Ceil: return std::ceil(args[0]);
-    case Builtin::Sqrt: return std::sqrt(args[0]);
-    case Builtin::Sin: return std::sin(args[0]);
-    case Builtin::Cos: return std::cos(args[0]);
-    case Builtin::Exp: return std::exp(args[0]);
-    case Builtin::Log: return std::log(args[0]);
-    case Builtin::Pow: return std::pow(args[0], args[1]);
-    case Builtin::Sign: return args[0] > 0 ? 1.0 : args[0] < 0 ? -1.0 : 0.0;
-    }
-    return 0.0;
-}
-
 const char* op_name(Op op) {
     switch (op) {
     case Op::PushConst: return "push";
@@ -203,11 +186,18 @@ const char* to_string(VmStatus s) {
     return "?";
 }
 
-VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
+template <class Slot>
+VmStatus CompiledExpr::exec(std::span<const Slot> slots, VmValue& out) const {
     if (slots.size() < slot_count_) return VmStatus::TypeError;
-    VmValue inline_buf[kInlineStack];
+    // Left uninitialized: compile() proves every entry is pushed before
+    // it is read, and zeroing all kInlineStack entries would cost more
+    // than a typical guard's whole evaluation.
+    union InlineStack {
+        InlineStack() {}
+        VmValue v[kInlineStack];
+    } inline_buf;
     std::vector<VmValue> heap_buf;
-    VmValue* st = inline_buf;
+    VmValue* st = inline_buf.v;
     if (max_stack_ > kInlineStack) {
         heap_buf.resize(max_stack_);
         st = heap_buf.data();
@@ -219,7 +209,7 @@ VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
         const Insn& in = code[pc];
         switch (in.op) {
         case Op::PushConst: st[sp++] = consts_[static_cast<std::size_t>(in.a)]; break;
-        case Op::LoadSlot: st[sp++] = slots[static_cast<std::size_t>(in.a)]; break;
+        case Op::LoadSlot: st[sp++] = load(slots[static_cast<std::size_t>(in.a)]); break;
         case Op::Neg: {
             VmValue& v = st[sp - 1];
             v = v.is_int() ? VmValue::of_int(-v.i) : VmValue::of_real(-numeric(v));
@@ -258,73 +248,15 @@ VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
     return VmStatus::TypeError; // fell off the end: malformed program
 }
 
-VmStatus CompiledExpr::run(std::span<const double> slots, double& out) const {
-    if (slots.size() < slot_count_) return VmStatus::TypeError;
-    if (!numeric_ok_) {
-        // Tagged fallback: box the slots once, coerce the result.
-        VmValue inline_slots[kInlineStack];
-        std::vector<VmValue> heap_slots;
-        VmValue* sv = inline_slots;
-        if (slot_count_ > kInlineStack) {
-            heap_slots.resize(slot_count_);
-            sv = heap_slots.data();
-        }
-        for (std::size_t i = 0; i < slot_count_; ++i) sv[i] = VmValue::of_real(slots[i]);
-        VmValue v;
-        VmStatus s = run(std::span<const VmValue>(sv, slot_count_), v);
-        if (s == VmStatus::Ok) out = v.as_number();
-        return s;
-    }
+VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
+    return exec(slots, out);
+}
 
-    // Unboxed double loop: no tags, no faults (the compiler proved both
-    // impossible for this program).
-    double inline_buf[kInlineStack];
-    std::vector<double> heap_buf;
-    double* st = inline_buf;
-    if (max_stack_ > kInlineStack) {
-        heap_buf.resize(max_stack_);
-        st = heap_buf.data();
-    }
-    std::size_t sp = 0;
-    const Insn* code = code_.data();
-    const std::size_t n = code_.size();
-    for (std::size_t pc = 0; pc < n; ++pc) {
-        const Insn& in = code[pc];
-        switch (in.op) {
-        case Op::PushConst: st[sp++] = consts_num_[static_cast<std::size_t>(in.a)]; break;
-        case Op::LoadSlot: st[sp++] = slots[static_cast<std::size_t>(in.a)]; break;
-        case Op::Neg: st[sp - 1] = -st[sp - 1]; break;
-        case Op::Not: st[sp - 1] = st[sp - 1] != 0.0 ? 0.0 : 1.0; break;
-        case Op::Truthy: st[sp - 1] = st[sp - 1] != 0.0 ? 1.0 : 0.0; break;
-        case Op::Add: st[sp - 2] += st[sp - 1]; --sp; break;
-        case Op::Sub: st[sp - 2] -= st[sp - 1]; --sp; break;
-        case Op::Mul: st[sp - 2] *= st[sp - 1]; --sp; break;
-        case Op::Div: st[sp - 2] /= st[sp - 1]; --sp; break;
-        case Op::Mod: st[sp - 2] = std::fmod(st[sp - 2], st[sp - 1]); --sp; break;
-        case Op::Lt: st[sp - 2] = st[sp - 2] < st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Le: st[sp - 2] = st[sp - 2] <= st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Gt: st[sp - 2] = st[sp - 2] > st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Ge: st[sp - 2] = st[sp - 2] >= st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Eq: st[sp - 2] = st[sp - 2] == st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Ne: st[sp - 2] = st[sp - 2] != st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Jump: pc = static_cast<std::size_t>(in.a) - 1; break;
-        case Op::BrFalse:
-            if (st[--sp] == 0.0) pc = static_cast<std::size_t>(in.a) - 1;
-            break;
-        case Op::BrTrue:
-            if (st[--sp] != 0.0) pc = static_cast<std::size_t>(in.a) - 1;
-            break;
-        case Op::Call: {
-            sp -= static_cast<std::size_t>(in.b);
-            st[sp] = call_builtin_num(static_cast<Builtin>(in.a), st + sp);
-            ++sp;
-            break;
-        }
-        case Op::Fail: return static_cast<VmStatus>(in.a); // unreachable by construction
-        case Op::Ret: out = st[sp - 1]; return VmStatus::Ok;
-        }
-    }
-    return VmStatus::TypeError;
+VmStatus CompiledExpr::run(std::span<const double> slots, double& out) const {
+    VmValue v;
+    VmStatus s = exec(slots, v);
+    if (s == VmStatus::Ok) out = v.as_number();
+    return s;
 }
 
 bool CompiledExpr::is_constant() const {

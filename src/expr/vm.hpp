@@ -10,12 +10,9 @@
 // classification and short-circuit evaluation (an unknown variable only
 // faults if the instruction is actually reached).
 //
-// Two execution tiers:
-//  - run(span<VmValue>)  tagged values, full Int/Real/Bool semantics;
-//  - run(span<double>)   all-Real slots; programs proven free of both-Int
-//    arithmetic (numeric_fast_path()) execute on a raw double stack with
-//    no tag dispatch at all — the innermost loop of every FB scan, SM
-//    guard check, and breakpoint predicate sweep.
+// One interpreter loop serves both run() overloads: LoadSlot reads a
+// tagged slot as it is and a double slot as Real, so neither overload
+// copies its slots before it runs.
 #pragma once
 
 #include <cstdint>
@@ -132,7 +129,7 @@ struct Insn {
 };
 
 /// Single source of truth for operator semantics, shared by the VM's
-/// tagged loop and the compiler's constant folder (so a folded constant
+/// loop and the compiler's constant folder (so a folded constant
 /// is bit-identical to the value the instruction would have produced).
 namespace vmops {
 /// Int op Int stays Int; Div/Mod by integer zero reports DivByZero
@@ -157,15 +154,8 @@ public:
     VmStatus run(std::span<const VmValue> slots, VmValue& out) const;
 
     /// Evaluates with every slot holding Real(slots[i]); `out` receives
-    /// the result coerced through as_number(). Dispatches to the unboxed
-    /// double loop when numeric_fast_path() holds, else falls back to the
-    /// tagged loop.
+    /// the result coerced through as_number().
     VmStatus run(std::span<const double> slots, double& out) const;
-
-    /// True when the program provably needs no Int/Real distinction for
-    /// all-Real slots (no reachable both-Int arithmetic, no faults), so
-    /// run(span<double>) executes on a raw double stack.
-    [[nodiscard]] bool numeric_fast_path() const { return numeric_ok_; }
 
     /// True when constant folding reduced the whole program to one
     /// PushConst (evaluation cannot fault and ignores slots).
@@ -184,13 +174,15 @@ public:
 private:
     friend class Compiler;
 
+    /// The interpreter loop behind both run() overloads.
+    template <class Slot>
+    VmStatus exec(std::span<const Slot> slots, VmValue& out) const;
+
     std::vector<Insn> code_;
     std::vector<VmValue> consts_;
-    std::vector<double> consts_num_; ///< as_number() image of consts_
     std::vector<std::string> names_; ///< diagnostic names (Fail operand b)
     std::uint32_t max_stack_ = 0;
     std::uint32_t slot_count_ = 0;
-    bool numeric_ok_ = false;
 };
 
 } // namespace gmdf::expr

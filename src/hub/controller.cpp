@@ -344,7 +344,7 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
     }
     if (!addressed) entry = registry_.find(ctx.current);
 
-    std::string_view verb = first_token(line);
+    std::string_view verb = proto::canonical_verb(first_token(line));
     if (const Verb* row = proto::find_verb(verb_table(), verb)) {
         // Silently dropping the prefix would make '@cell session close'
         // act on the *current* session — refuse instead.
@@ -392,7 +392,7 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
     }
 
     if (entry == nullptr) {
-        if (verb == "quit" || verb == "exit") return hub_ok({"bye"});
+        if (verb == "quit") return hub_ok({"bye"});
         return hub_error(proto::ErrorCode::BadState,
                          "no open session (try 'session open <scenario>')");
     }

@@ -10,6 +10,9 @@ namespace gmdf::net {
 
 namespace {
 
+/// How long a stalled chunk is parked before delivery.
+constexpr int kStallMs = 3;
+
 /// Fire-and-forget delivery of a torn prefix right before a cut; the
 /// kernel buffer takes a half frame without blocking.
 void send_best_effort(int fd, std::string_view bytes) {
@@ -94,7 +97,7 @@ void ChaosProxy::inject(End& from, std::string chunk) {
             case 1: // stall: parked, then queued below
                 ++stats_.stalls;
                 to.hold_until = std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(config_.stall_ms);
+                                std::chrono::milliseconds(kStallMs);
                 break;
             case 2: // disconnect
                 ++stats_.disconnects;

@@ -5,7 +5,7 @@
 // clients and a net::Server, forwarding bytes in both directions while
 // injecting faults drawn from a seeded PRNG: torn frames (a prefix of a
 // chunk is delivered, then the connection is cut), stalls (a chunk is
-// parked for stall_ms before forwarding), mid-request disconnects
+// parked for 3 ms before forwarding), mid-request disconnects
 // (the chunk is discarded and both sides closed), and byte corruption
 // (one byte flipped, then forwarded — the codec's length/type guards
 // turn this into a structured protocol error downstream).
@@ -43,8 +43,6 @@ struct ChaosConfig {
     std::uint32_t seed = 1;
     /// Probability in [0,1] that a forwarded chunk draws one fault.
     double fault_rate = 0.0;
-    /// How long a stalled chunk is parked before delivery.
-    int stall_ms = 5;
     /// Deterministic cut: tear the Nth client→server chunk in half and
     /// close the pair (0 disables). Fires once per proxy lifetime so
     /// the reconnected client gets a clean second run.
@@ -55,7 +53,7 @@ struct ChaosStats {
     std::uint64_t connections = 0; ///< client connections proxied
     std::uint64_t chunks = 0;      ///< chunks forwarded, both directions
     std::uint64_t torn = 0;        ///< half-delivered chunks followed by a cut
-    std::uint64_t stalls = 0;      ///< chunks parked for stall_ms
+    std::uint64_t stalls = 0;      ///< chunks parked before delivery
     std::uint64_t disconnects = 0; ///< chunks swallowed by an immediate cut
     std::uint64_t corruptions = 0; ///< chunks forwarded with one byte flipped
 };

@@ -152,8 +152,13 @@ std::optional<proto::Response> Channel::roundtrip(std::string_view line,
             break; // heartbeat echo arriving late; ignore
         case FrameType::Response: {
             auto resp = proto::parse_response(frame.payload);
-            if (!resp.has_value())
-                return transport_error("unparsable response frame");
+            if (!resp.has_value()) {
+                // A byte flipped on the way broke the hub's answer. The
+                // request did run, so a resend is at-least-once, as after
+                // a cut.
+                set_error(error, "unparsable response frame");
+                return std::nullopt;
+            }
             last_done_ = false;
             return *resp;
         }

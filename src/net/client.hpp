@@ -15,17 +15,18 @@
 // sockets with the codec directly (see bench/bench_p5_net.cpp).
 //
 // Resilience (opt-in via set_reconnect): when a send or read fails
-// mid-request, or the server answers with a protocol-error frame (it
-// could not decode the request, so it did not run it, and closes), the
+// mid-request, the server answers with a protocol-error frame (it could
+// not decode the request, so it did not run it, and closes), or its
+// response frame does not parse (a byte flipped on the way), the
 // channel redials with exponential backoff plus deterministic jitter,
 // re-shakes hands, re-attaches the session it was last on (tracked from
 // "current <name>"/"attached <name>" response lines), and re-sends the
 // failed request once. A redial counts only once its re-attach is
 // answered. That is at-least-once delivery — a request the server
-// finished executing just before the cut may run twice; the fleet
-// protocol's verbs are either idempotent or advance simulated time,
-// which campaign workloads tolerate by design. With reconnect off (the
-// default) failures surface exactly as before, as Internal
+// finished executing before the cut or the broken answer may run twice;
+// the fleet protocol's verbs are either idempotent or advance simulated
+// time, which campaign workloads tolerate by design. With reconnect off
+// (the default) failures surface exactly as before, as Internal
 // "network: ..." error responses (is_transport_error tells them from
 // the hub's own errors).
 #pragma once
@@ -109,9 +110,10 @@ private:
     bool read_frame(Frame& out, std::string* error);
     void shutdown();
     /// One request/response cycle with no redial logic. nullopt on a
-    /// retryable failure — send, EOF, errno, or a server protocol-error
-    /// frame — with the reason in *error; an unparsable or unexpected
-    /// frame comes back as a non-retryable transport_error Response.
+    /// retryable failure — send, EOF, errno, a server protocol-error
+    /// frame or an unparsable response frame — with the reason in
+    /// *error; an unexpected frame comes back as a non-retryable
+    /// transport_error Response.
     std::optional<proto::Response> roundtrip(std::string_view line,
                                              std::string* error);
     /// Updates session_ from a successful response's body lines.

@@ -48,6 +48,10 @@ bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
 } // namespace
 
+std::string_view canonical_verb(std::string_view verb) {
+    return verb == "exit" ? "quit" : verb;
+}
+
 ParseResult parse_request(std::string_view line) {
     if (line.size() > kMaxRequestLine)
         return parse_error("request line of " + std::to_string(line.size()) +
@@ -103,7 +107,7 @@ ParseResult parse_request(std::string_view line) {
     }
     if (tokens.empty()) return parse_error("empty request");
     Request req;
-    req.verb = std::move(tokens.front());
+    req.verb = canonical_verb(tokens.front());
     req.args.assign(std::make_move_iterator(tokens.begin() + 1),
                     std::make_move_iterator(tokens.end()));
     ParseResult r;

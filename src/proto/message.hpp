@@ -101,13 +101,19 @@ struct ParseResult {
 /// "line" without limit before the parser ever sees a newline.
 inline constexpr std::size_t kMaxRequestLine = 16 * 1024;
 
+/// `exit` is another name for `quit`; every other verb names itself.
+/// The one home of that alias: the parser, the hub's router, the script
+/// runner and the server's close-after-goodbye read verbs through it.
+[[nodiscard]] std::string_view canonical_verb(std::string_view verb);
+
 /// Parses one request line. Tokens are whitespace-separated; a token may
-/// be double-quoted to carry spaces, with \" \\ \n \t escapes. Errors
-/// (empty line, oversized line, unterminated quote, bad escape) come
-/// back structured.
+/// be double-quoted to carry spaces, with \" \\ \n \t escapes. The verb
+/// comes back through canonical_verb. Errors (empty line, oversized
+/// line, unterminated quote, bad escape) come back structured.
 [[nodiscard]] ParseResult parse_request(std::string_view line);
 
-/// Formats a request so that parse_request(format_request(r)) == r.
+/// Formats a request so that parse_request(format_request(r)) == r, up
+/// to canonical_verb.
 [[nodiscard]] std::string format_request(const Request& req);
 
 /// Formats a response (multi-line, newline-terminated).

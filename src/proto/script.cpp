@@ -363,8 +363,8 @@ void exec_node(Exec& e, const Node& n) {
         std::string line;
         if (!expand(e, n, n.text, line)) return;
         if (e.options.echo) e.out << "> " << line << "\n";
-        const bool is_quit = line == "quit" || line == "exit";
-        Response resp = e.client.execute_line(is_quit ? "quit" : line);
+        const bool is_quit = canonical_verb(line) == "quit";
+        Response resp = e.client.execute_line(line);
         ++e.result.requests;
         if (!resp.ok()) {
             ++e.result.errors;

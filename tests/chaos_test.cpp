@@ -511,6 +511,33 @@ TEST(ChannelRetry, ProtocolErrorFrameIsRedialedAndResentOnce) {
               (std::vector<std::string>{"attach s", "query signal led"}));
 }
 
+// A response frame that does not parse (a byte flipped on the way) is
+// retried like a cut: the hub did run the request, and the channel
+// redials, re-attaches and resends it once (at-least-once delivery).
+TEST(ChannelRetry, UnparsableResponseIsRedialedAndResentOnce) {
+    StubServer stub([](int conn, const std::string& line) {
+        if (line == "attach s") return StubAnswer{StubAnswer::Kind::Ok, "attached s"};
+        if (conn == 0) return StubAnswer{StubAnswer::Kind::Garbled, "led 1"};
+        return StubAnswer{StubAnswer::Kind::Ok, "led 1"};
+    });
+    auto channel = dial_with_reconnect(stub.port());
+    ASSERT_NE(channel, nullptr);
+    ASSERT_TRUE(channel->execute_line("attach s").ok());
+    (void)channel->drain_event_lines();
+
+    gp::Response resp = channel->execute_line("query signal led");
+    (void)channel->drain_event_lines();
+    ASSERT_TRUE(resp.ok()) << resp.message;
+    EXPECT_EQ(resp.body, std::vector<std::string>{"led 1"});
+    EXPECT_EQ(channel->reconnects(), 1u);
+    channel.reset();
+
+    stub.join();
+    ASSERT_EQ(stub.requests.size(), 2u);
+    EXPECT_EQ(stub.requests[1],
+              (std::vector<std::string>{"attach s", "query signal led"}));
+}
+
 // A re-attach that draws a protocol-error frame, or an answer that does
 // not parse, fails that redial: the channel keeps its session and
 // resends the request only after an attach that succeeded, never on the

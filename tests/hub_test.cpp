@@ -134,6 +134,17 @@ TEST(Routing, MalformedPrefixAndNoSessionErrors) {
     EXPECT_EQ(quit.body[0], "bye");
 }
 
+// `exit` is `quit` under another name, with or without an open session.
+TEST(Routing, ExitAnswersLikeQuit) {
+    gh::HubController hub;
+    EXPECT_EQ(gp::format_response(hub.execute_line("exit")),
+              gp::format_response(hub.execute_line("quit")));
+    ASSERT_NE(hub.open("blinker", "a"), nullptr);
+    auto quit = hub.execute_line("quit");
+    ASSERT_TRUE(quit.ok()) << quit.message;
+    EXPECT_EQ(gp::format_response(hub.execute_line("exit")), gp::format_response(quit));
+}
+
 // Each form that names a session refuses an unknown one and an
 // acl-refused one with its own pinned code and message, and counts the
 // refusal once as a hub request and once as a hub error.

@@ -279,6 +279,18 @@ TEST(NetServer, QuitFlushesTheGoodbyeThenCloses) {
     EXPECT_EQ(srv.server->stats().closed, 1u);
 }
 
+// `exit` is `quit` under another name, also once a session is open: the
+// line client gets the goodbye, then EOF.
+TEST(NetServer, LineClientExitGetsTheGoodbyeThenEof) {
+    LoopbackServer srv;
+    int fd = raw_dial(srv.port());
+    raw_send(fd, "exit\n");
+    EXPECT_EQ(raw_read(fd), "ok\n| bye\n");
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "the server closes after the goodbye";
+    ::close(fd);
+}
+
 TEST(NetServer, SlowClientBackpressureDropsOldestEvents) {
     gn::ServerConfig config;
     config.event_queue_capacity = 2;

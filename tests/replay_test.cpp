@@ -22,6 +22,8 @@
 #include "replay/timeline.hpp"
 #include "scene_state.hpp"
 
+namespace gc = gmdf::comdes;
+namespace gm = gmdf::meta;
 namespace gp = gmdf::proto;
 namespace gr = gmdf::replay;
 namespace rt = gmdf::rt;
@@ -36,6 +38,77 @@ gp::Response exec(gp::Scenario& s, const std::string& line) {
 void expect_ok(gp::Scenario& s, const std::string& line) {
     auto resp = exec(s, line);
     EXPECT_TRUE(resp.ok()) << line << " -> " << resp.message;
+}
+
+/// Gives `owner` (a composite FB or a mode) a network of one basic FB
+/// "k": its `out` maps to the outer pin y, its `in` (when `reads_x`) from
+/// the outer pin x.
+void add_inner_block(gm::Model& m, gm::MObject& owner, const std::string& kind,
+                     gm::Value::List params, bool reads_x) {
+    const auto& c = gc::comdes_metamodel();
+    auto& net = m.create(*c.network);
+    owner.set_ref("network", net.id());
+    auto& k = m.create(*c.basic_fb);
+    k.set_attr("name", gm::Value("k"));
+    k.set_attr("kind", gm::Value(kind));
+    k.set_attr("params", gm::Value(std::move(params)));
+    net.add_ref("blocks", k.id());
+    auto map = [&](const char* outer, const char* inner, const char* direction) {
+        auto& pm = m.create(*c.port_map);
+        pm.set_attr("outer_pin", gm::Value(outer));
+        pm.set_attr("inner_fb", gm::Value("k"));
+        pm.set_attr("inner_pin", gm::Value(inner));
+        pm.set_attr("direction", gm::Value(direction));
+        owner.add_ref("port_maps", pm.id());
+    };
+    if (reads_x) map("x", "in", "in");
+    map("y", "out", "out");
+}
+
+/// One 10 ms actor whose only block keeps its state inside nested
+/// programs. "modal": selector `mode`, mode 0 is const 0, mode 1
+/// integrates x, and mode switches 1, 0, 1 at 100, 600 and 800 ms.
+/// "composite": a composite wrapping the same integrator. Either way x
+/// steps from 1 to 2 at 700 ms.
+std::unique_ptr<gp::Scenario> make_nested_scenario(const std::string& kind) {
+    auto s = std::make_unique<gp::Scenario>(kind);
+    gm::Model& m = s->sys.model();
+    const auto& c = gc::comdes_metamodel();
+    gm::ObjectId mode_sig = s->sys.add_signal("mode", "int_");
+    gm::ObjectId x_sig = s->sys.add_signal("x", "real_", 1.0);
+    gm::ObjectId y_sig = s->sys.add_signal("y");
+    auto actor = s->sys.add_actor("ctl", 10'000);
+    const gm::Value::List integrator{gm::Value(1.0), gm::Value(0.0)};
+    gm::MObject* block = nullptr;
+    if (kind == "modal") {
+        block = &m.create(*c.modal_fb);
+        block->set_attr("selector_pin", gm::Value("mode"));
+        for (int value = 0; value < 2; ++value) {
+            auto& mode = m.create(*c.mode);
+            mode.set_attr("name", gm::Value("m" + std::to_string(value)));
+            mode.set_attr("value", gm::Value(value));
+            if (value == 0)
+                add_inner_block(m, mode, "const_", {gm::Value(0.0)}, false);
+            else
+                add_inner_block(m, mode, "integrator_", integrator, true);
+            block->add_ref("modes", mode.id());
+        }
+        s->stimuli.push_back({mode_sig, 1.0, 100 * rt::kMs, 0});
+        s->stimuli.push_back({mode_sig, 0.0, 600 * rt::kMs, 0});
+        s->stimuli.push_back({mode_sig, 1.0, 800 * rt::kMs, 0});
+    } else {
+        block = &m.create(*c.composite_fb);
+        add_inner_block(m, *block, "integrator_", integrator, true);
+    }
+    block->set_attr("name", gm::Value("nested"));
+    m.at(actor.network_id()).add_ref("blocks", block->id());
+    if (kind == "modal") actor.bind_input(mode_sig, block->id(), "mode");
+    actor.bind_input(x_sig, block->id(), "x");
+    actor.bind_output(block->id(), "y", y_sig);
+    s->stimuli.push_back({x_sig, 2.0, 700 * rt::kMs, 0});
+    EXPECT_TRUE(gp::validate_scenario(*s));
+    gp::wire_scenario(*s);
+    return s;
 }
 
 } // namespace
@@ -430,6 +503,29 @@ TEST(Bisect, CleanTimelineReportsNoDivergence) {
     EXPECT_FALSE(res.found);
     EXPECT_GE(res.probes, 1u);
 }
+
+// A checkpoint carries the state nested FBs keep in their inner
+// programs (a modal FB's active mode and held outputs too): re-executing
+// from it matches the recorded run, and a rewind reproduces the VCD.
+class NestedState : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NestedState, CheckpointsCarryInnerPrograms) {
+    auto s = make_nested_scenario(GetParam());
+    expect_ok(*s, "checkpoint now");
+    expect_ok(*s, "run 1000");
+    gr::BisectResult res = s->timeline->bisect();
+    ASSERT_TRUE(res.error.empty()) << res.error;
+    EXPECT_FALSE(res.found) << "first divergent step " << res.step << " " << res.command
+                            << ": " << res.reason;
+
+    std::string vcd1 = s->session->vcd();
+    expect_ok(*s, "rewind 300");
+    expect_ok(*s, "run 700");
+    EXPECT_EQ(s->session->vcd(), vcd1)
+        << "rewind + run must reproduce the original transcript";
+}
+
+INSTANTIATE_TEST_SUITE_P(Blocks, NestedState, ::testing::Values("modal", "composite"));
 
 // ---- hub isolation ----------------------------------------------------------
 

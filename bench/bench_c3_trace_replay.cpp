@@ -13,7 +13,6 @@
 #include "core/animator.hpp"
 #include "core/engine.hpp"
 #include "core/trace.hpp"
-#include "replay/animate.hpp"
 
 using namespace gmdf;
 
@@ -79,8 +78,8 @@ void BM_ReplayThroughput(benchmark::State& state) {
         // time-travel scene rebuild use.
         auto abs = core::abstract_model(f.sys.model(), core::comdes_default_mapping());
         core::SceneAnimator animator(f.sys.model(), abs.scene);
-        replay::animate_trace(f.sys.model(), core::CommandBindingTable::defaults(),
-                              trace.events(), animator);
+        core::animate_trace(f.sys.model(), core::CommandBindingTable::defaults(),
+                            trace.events(), animator);
         benchmark::DoNotOptimize(animator.frames());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -20,7 +20,6 @@
 #include "bench_json.hpp"
 #include "campaign/runner.hpp"
 #include "comdes/build.hpp"
-#include "core/builder.hpp"
 #include "core/session.hpp"
 #include "hub/registry.hpp"
 #include "hub/sharded.hpp"

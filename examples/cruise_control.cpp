@@ -128,7 +128,7 @@ int main() {
     if (session.engine().state() == core::EngineState::Paused) {
         std::cout << "target halted on overshoot (engine "
                   << core::to_string(session.engine().state()) << "); resuming...\n";
-        session.resume();
+        session.engine().resume();
         target.run_for(5 * rt::kSec);
         std::cout << "settled speed: " << vehicle_speed << "\n";
     }

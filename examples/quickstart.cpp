@@ -10,7 +10,8 @@
 #include "codegen/loader.hpp"
 #include "comdes/build.hpp"
 #include "comdes/validate.hpp"
-#include "core/builder.hpp"
+#include "core/session.hpp"
+#include "core/transports.hpp"
 
 using namespace gmdf;
 
@@ -41,36 +42,35 @@ int main() {
     auto loaded = codegen::load_system(target, sys.model(),
                                        codegen::InstrumentOptions::active());
 
-    // 4. The debug session abstracts the model into a GDM automatically;
-    //    SessionBuilder assembles model -> mapping -> bindings -> transport.
-    auto session = core::SessionBuilder(sys.model())
-                       .bindings(core::CommandBindingTable::defaults())
-                       .active_uart(target)
-                       .build();
-    std::cout << "GDM generated: " << session->abstraction().mapped_nodes << " nodes, "
-              << session->abstraction().mapped_edges << " edges\n";
-    std::cout << "transport: " << session->transports().front()->name() << "\n\n";
+    // 4. The debug session abstracts the model into a GDM automatically
+    //    (default mapping and bindings); attach the target over the active
+    //    command interface.
+    core::DebugSession session(sys.model());
+    session.attach(core::make_active_uart_transport(target));
+    std::cout << "GDM generated: " << session.abstraction().mapped_nodes << " nodes, "
+              << session.abstraction().mapped_edges << " edges\n";
+    std::cout << "transport: " << session.transports().front()->name() << "\n\n";
 
     // 5. Run for one second of simulated time and animate.
     target.start();
     target.run_for(1050 * rt::kMs);
 
     std::cout << "=== final animation frame (state '"
-              << (session->engine().current_state(sm.sm_id())
-                      ? sys.model().at(*session->engine().current_state(sm.sm_id())).name()
+              << (session.engine().current_state(sm.sm_id())
+                      ? sys.model().at(*session.engine().current_state(sm.sm_id())).name()
                       : "?")
               << "' highlighted) ===\n";
-    std::cout << session->render_ascii() << "\n";
+    std::cout << session.render_ascii() << "\n";
 
     // 6. Trace products: timing diagram + replay.
     std::cout << "=== timing diagram ===\n";
-    std::cout << session->timing_diagram().render_ascii(64) << "\n";
+    std::cout << session.timing_diagram().render_ascii(64) << "\n";
 
-    auto frames = session->replay_frames(/*stride=*/8);
+    auto frames = session.replay_frames(/*stride=*/8);
     std::cout << "replay produced " << frames.size() << " frames, deterministic re-animation\n";
-    std::cout << "commands observed: " << session->engine().stats().commands
-              << ", reactions: " << session->engine().stats().reactions
-              << ", divergences: " << session->divergences().size() << "\n";
+    std::cout << "commands observed: " << session.engine().stats().commands
+              << ", reactions: " << session.engine().stats().reactions
+              << ", divergences: " << session.divergences().size() << "\n";
     std::cout << "same workflow, scripted: ./build/gmdf_dbg --script examples/quickstart.gds\n";
     (void)led;
     (void)loaded;

@@ -60,7 +60,7 @@ int main() {
 
     core::DebugSession session(sys.model());
     session.attach(core::make_active_uart_transport(target));
-    session.set_step_actor("controller"); // step = one controller activation
+    session.engine().set_step_filter({"controller"}); // step = one controller activation
 
     // Model-level breakpoint: pause everything when drilling starts.
     session.engine().add_breakpoint(
@@ -82,17 +82,17 @@ int main() {
               << ", target paused: " << (target.paused() ? "yes" : "no") << "\n";
     std::cout << session.render_ascii() << "\n";
 
-    // Step-wise execution: three single task releases (session.step()
-    // routes through the protocol dispatcher — same path as gmdf_dbg).
+    // Step-wise execution: three single task releases (the engine call
+    // the `step` verb of gmdf_dbg makes too).
     for (int i = 0; i < 3; ++i) {
-        session.step();
+        session.engine().step();
         target.run_for(100 * rt::kMs);
         auto cur = session.engine().current_state(sm.sm_id());
         std::cout << "after step " << i + 1 << ": state '"
                   << (cur ? sys.model().at(*cur).name() : "?") << "'\n";
     }
 
-    session.resume();
+    session.engine().resume();
     target.run_for(300 * rt::kMs);
 
     std::cout << "\n=== timing diagram (controller + signals) ===\n";

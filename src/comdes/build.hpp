@@ -38,7 +38,6 @@ public:
 
     [[nodiscard]] meta::Model& model() { return model_; }
     [[nodiscard]] const meta::Model& model() const { return model_; }
-    [[nodiscard]] meta::ObjectId system_id() const { return system_; }
 
     /// A builder over a deep copy of this model (object ids preserved)
     /// whose System is renamed to `name`.

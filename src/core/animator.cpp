@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/engine.hpp"
+
 namespace gmdf::core {
 
 using meta::MObject;
@@ -77,6 +79,21 @@ void SceneAnimator::highlight_exclusive(std::uint64_t owner) {
                 node->style.intensity = 0.0;
             }
         }
+    }
+}
+
+void animate_trace(const meta::Model& design, const CommandBindingTable& bindings,
+                   const std::deque<TraceEvent>& events, SceneAnimator& animator,
+                   const std::function<void(std::size_t)>& on_event) {
+    DebuggerEngine engine(design);
+    engine.set_bindings(bindings);
+    engine.add_observer(&animator);
+    animator.reset_clock();
+    std::size_t i = 0;
+    for (const TraceEvent& ev : events) {
+        engine.ingest(ev.cmd, ev.t);
+        ++i;
+        if (on_event) on_event(i);
     }
 }
 

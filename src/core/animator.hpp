@@ -5,9 +5,19 @@
 // engine no longer touches scenes; register one SceneAnimator per scene
 // you want animated — several animators on one engine animate several
 // scenes from the same event stream (multi-client fan-out).
+//
+// animate_trace drives a recorded command stream into an animator: the
+// one loop behind the session view's late build, the `replay` verb, the
+// scene rebuild after a rewind and the C3 replay bench.
 #pragma once
 
+#include <cstddef>
+#include <deque>
+#include <functional>
+
+#include "core/bindings.hpp"
 #include "core/observer.hpp"
+#include "core/trace.hpp"
 #include "meta/model.hpp"
 #include "render/scene.hpp"
 #include "rt/des.hpp"
@@ -47,5 +57,14 @@ private:
     rt::SimTime last_event_t_ = 0;
     std::uint64_t frames_ = 0;
 };
+
+/// Re-animates `events` in order through a temporary engine configured
+/// with `bindings`, with `animator` as the only observer; `on_event` (if
+/// set) runs after each event — index is the 1-based count so callers
+/// can stride frames. The animator's decay clock is reset first, so the
+/// first event does not decay against a stale timestamp.
+void animate_trace(const meta::Model& design, const CommandBindingTable& bindings,
+                   const std::deque<TraceEvent>& events, SceneAnimator& animator,
+                   const std::function<void(std::size_t)>& on_event = {});
 
 } // namespace gmdf::core

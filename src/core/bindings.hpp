@@ -34,7 +34,6 @@ struct ReactionSpec {
 class CommandBindingTable {
 public:
     void bind(link::Cmd kind, ReactionSpec spec) { table_[kind] = spec; }
-    void unbind(link::Cmd kind) { table_.erase(kind); }
 
     [[nodiscard]] ReactionSpec lookup(link::Cmd kind) const {
         auto it = table_.find(kind);

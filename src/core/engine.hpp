@@ -84,7 +84,6 @@ public:
     /// divergence log, and protocol event queue don't double-report the
     /// history being re-executed.
     void set_replay_mode(bool on) { replay_mode_ = on; }
-    [[nodiscard]] bool replay_mode() const { return replay_mode_; }
 
     /// link::CommandSink: transports deliver straight into the engine.
     void deliver(const link::Command& cmd, rt::SimTime at) override { ingest(cmd, at); }

@@ -2,8 +2,6 @@
 
 #include "comdes/metamodel.hpp"
 #include "meta/serialize.hpp"
-#include "proto/controller.hpp"
-#include "replay/animate.hpp"
 
 namespace gmdf::core {
 
@@ -16,8 +14,6 @@ DebugSession::DebugSession(const meta::Model& design, const MappingTable& mappin
     engine_.add_observer(&divergence_log_);
 }
 
-DebugSession::~DebugSession() = default;
-
 DebugSession::View::View(const meta::Model& design, const MappingTable& mapping)
     : abstraction(abstract_model(design, mapping)), animator(design, abstraction.scene) {}
 
@@ -26,8 +22,7 @@ DebugSession::View& DebugSession::view() {
         // Catch the new animator up on everything the trace recorder saw,
         // then let it follow the live stream.
         view_ = std::make_unique<View>(*design_, mapping_);
-        replay::animate_trace(*design_, engine_.bindings(), trace_.events(),
-                              view_->animator);
+        animate_trace(*design_, engine_.bindings(), trace_.events(), view_->animator);
         engine_.add_observer(&view_->animator);
     }
     return *view_;
@@ -53,32 +48,6 @@ EngineObserver& DebugSession::add_observer(std::unique_ptr<EngineObserver> obser
     return obs;
 }
 
-proto::SessionController& DebugSession::controller() {
-    if (controller_ == nullptr)
-        controller_ = std::make_unique<proto::SessionController>(*this);
-    return *controller_;
-}
-
-// The C++ control methods construct protocol requests, so they exercise
-// the exact dispatcher handlers remote clients hit — the two surfaces
-// cannot drift. Responses are dropped: "resume while running" and
-// friends stay no-ops here, as they always were.
-void DebugSession::pause() { (void)controller().execute({"pause", {}}); }
-
-void DebugSession::resume() { (void)controller().execute({"resume", {}}); }
-
-void DebugSession::step(const std::string& actor) {
-    proto::Request req{"step", {}};
-    if (!actor.empty()) req.args.push_back(actor);
-    (void)controller().execute(req);
-}
-
-void DebugSession::set_step_actor(const std::string& actor_name) {
-    proto::Request req{"step-filter", {}};
-    if (!actor_name.empty()) req.args.push_back(actor_name);
-    (void)controller().execute(req);
-}
-
 std::uint64_t DebugSession::corrupt_frames() const {
     std::uint64_t total = 0;
     for (const auto& t : transports_) total += t->stats().corrupt_frames;
@@ -96,17 +65,19 @@ std::string DebugSession::vcd() const { return trace_.to_vcd(*design_); }
 std::vector<std::string> DebugSession::replay_frames(std::size_t stride) {
     if (stride == 0) stride = 1;
     // Fresh scene + animator; the re-animation loop itself is the shared
-    // replay::animate_trace (also behind the view's first build, rewind's
-    // scene rebuild and the C3 replay bench).
+    // animate_trace (also behind the view's first build, rewind's scene
+    // rebuild and the C3 replay bench). A session without a view keeps
+    // the animator's default half-life: nothing can have changed it.
     AbstractionResult fresh = abstract_model(*design_, mapping_);
     SceneAnimator replay_animator(*design_, fresh.scene);
-    replay_animator.set_highlight_half_life(animator().highlight_half_life());
+    if (view_built())
+        replay_animator.set_highlight_half_life(view_->animator.highlight_half_life());
     std::vector<std::string> frames;
-    replay::animate_trace(*design_, engine_.bindings(), trace_.events(),
-                          replay_animator, [&](std::size_t i) {
-                              if (i % stride == 0)
-                                  frames.push_back(render::render_ascii(fresh.scene));
-                          });
+    animate_trace(*design_, engine_.bindings(), trace_.events(), replay_animator,
+                  [&](std::size_t i) {
+                      if (i % stride == 0)
+                          frames.push_back(render::render_ascii(fresh.scene));
+                  });
     return frames;
 }
 

@@ -3,7 +3,8 @@
 // Mirrors the prototype workflow of paper Fig. 6:
 //   1. provide the input model (+ the COMDES metamodel is implicit),
 //   2. set up the abstraction mapping (defaults provided),
-//   3. configure command->reaction bindings (defaults provided),
+//   3. configure command->reaction bindings (engine().set_bindings();
+//      defaults provided),
 //   4. the GDM is generated automatically,
 //   5. attach the running target through a link::Transport — actively
 //      (RS-232 command interface) or passively (JTAG watchpoints), or any
@@ -11,29 +12,32 @@
 //      the trace recorder, the divergence log, the scene animator, and
 //      whatever else is registered.
 //
+//   core::DebugSession session(sys.model());
+//   session.add_observer(std::make_unique<MyObserver>()); // before attach
+//   session.attach(core::make_active_uart_transport(target));
+//
+// Settings go in before attach() so nothing a transport emits at open()
+// is missed. Execution control in C++ is the engine:
+// engine().pause()/resume()/step()/set_step_filter(). The text protocol
+// (proto::SessionController) sits on top of the session and drives the
+// same engine calls.
+//
 // The view — the GDM, its scene and the scene animator — is built the
 // first time something asks for it (scene(), gdm(), abstraction(),
-// animator(), the renders, gdm_text(), replay_frames()). A headless
-// session (a campaign twin, a fleet session nobody renders) never builds
-// it. The late build is exact: it re-animates the recorded trace through
-// replay::animate_trace, and the trace recorder and the animator are both
-// plain observers, so they see the same commands in the same order.
-// Three consequences:
+// animator(), the renders, gdm_text()). A headless session (a campaign
+// twin, a fleet session nobody renders) never builds it. The late build
+// is exact: it re-animates the recorded trace through animate_trace, and
+// the trace recorder and the animator are both plain observers, so they
+// see the same commands in the same order. Three consequences:
 //   - a bounded trace cannot re-animate what it evicted, so a non-zero
 //     set_trace_capacity() builds the view at once;
 //   - a late view re-animates with the engine's bindings as they are at
-//     that moment. In the library and tools only SessionBuilder sets
-//     bindings, before any event. The F6 workflow bench changes them
-//     after abstraction() has built the view; other code that changes
+//     that moment. In the library and tools nothing changes bindings
+//     after the first event. The F6 workflow bench changes them after
+//     abstraction() has built the view; other code that changes
 //     bindings mid-session must build the view first the same way;
 //   - the first access must not come from inside an engine observer
 //     callback, because building registers the animator on the engine.
-//
-// The control plane (pause/resume/step) routes through the session's
-// proto::SessionController, so the C++ methods and the text protocol
-// execute the exact same dispatcher handlers.
-//
-// Prefer SessionBuilder (core/builder.hpp) for declarative construction.
 #pragma once
 
 #include <memory>
@@ -49,10 +53,6 @@
 #include "render/ascii.hpp"
 #include "render/svg.hpp"
 
-namespace gmdf::proto {
-class SessionController;
-} // namespace gmdf::proto
-
 namespace gmdf::core {
 
 class DebugSession {
@@ -67,8 +67,6 @@ public:
 
     DebugSession(const DebugSession&) = delete;
     DebugSession& operator=(const DebugSession&) = delete;
-
-    ~DebugSession();
 
     /// Attaches a debug transport: the engine becomes its command sink
     /// and its control path drives pause/resume/step (with several
@@ -98,11 +96,6 @@ public:
 
     /// Whether the view has been built (a headless session never does).
     [[nodiscard]] bool view_built() const { return view_ != nullptr; }
-
-    /// The session's protocol controller: the typed request/response
-    /// surface (proto::Request -> proto::Response + queued proto::Events).
-    /// Created on first use; owned by the session.
-    [[nodiscard]] proto::SessionController& controller();
 
     /// The default scene animator (observer driving scene()).
     [[nodiscard]] SceneAnimator& animator() { return view().animator; }
@@ -147,19 +140,9 @@ public:
     [[nodiscard]] std::string vcd() const;
 
     /// Deterministic replay: re-animates the recorded trace on a fresh
-    /// scene and returns one ASCII frame per `stride` events.
+    /// scene and returns one ASCII frame per `stride` events. Does not
+    /// build the view.
     [[nodiscard]] std::vector<std::string> replay_frames(std::size_t stride = 1);
-
-    /// Execution control, routed through the protocol dispatcher (the
-    /// same handlers `gmdf_dbg` drives). All are safe no-ops when the
-    /// engine is not in a state to honour them.
-    void pause();
-    void resume();
-    void step(const std::string& actor = {});
-
-    /// Restricts model-level stepping to one actor's task (empty: any
-    /// task's next release consumes the step).
-    void set_step_actor(const std::string& actor_name);
 
     /// Corrupt frames across all attached transports (active mode).
     [[nodiscard]] std::uint64_t corrupt_frames() const;
@@ -184,8 +167,6 @@ private:
     std::unique_ptr<View> view_;
     std::vector<std::unique_ptr<EngineObserver>> observers_;
     std::vector<std::unique_ptr<link::Transport>> transports_;
-    // Declared last: its destructor unsubscribes from engine_.
-    std::unique_ptr<proto::SessionController> controller_;
 };
 
 } // namespace gmdf::core

@@ -78,10 +78,6 @@ public:
     [[nodiscard]] bool is_abstract() const { return abstract_; }
     [[nodiscard]] const MetaClass* super() const { return super_; }
 
-    /// Declarations introduced by this class only (not inherited).
-    [[nodiscard]] const std::vector<MetaAttribute>& own_attributes() const { return attrs_; }
-    [[nodiscard]] const std::vector<MetaReference>& own_references() const { return refs_; }
-
     /// Declarations including inherited ones, supers first.
     [[nodiscard]] std::vector<const MetaAttribute*> all_attributes() const;
     [[nodiscard]] std::vector<const MetaReference*> all_references() const;

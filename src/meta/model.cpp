@@ -28,11 +28,6 @@ bool kind_matches(AttrType t, const Value& v) {
 
 } // namespace
 
-bool MObject::has_attr(std::string_view name) const {
-    auto it = attrs_.find(name);
-    return it != attrs_.end() && !it->second.is_null();
-}
-
 const Value& MObject::attr(std::string_view name) const {
     if (cls_->find_attribute(name) == nullptr)
         throw std::invalid_argument("class " + cls_->name() + " has no attribute '" +
@@ -92,11 +87,6 @@ std::size_t MObject::remove_ref(std::string_view name, ObjectId target) {
     std::size_t before = vec.size();
     std::erase(vec, target);
     return before - vec.size();
-}
-
-void MObject::clear_ref(std::string_view name) {
-    checked_reference(name);
-    refs_.erase(std::string(name));
 }
 
 std::string MObject::name() const {

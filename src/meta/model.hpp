@@ -28,9 +28,6 @@ public:
     [[nodiscard]] ObjectId id() const { return id_; }
     [[nodiscard]] const MetaClass& meta_class() const { return *cls_; }
 
-    /// True when the attribute has been explicitly set (or defaulted).
-    [[nodiscard]] bool has_attr(std::string_view name) const;
-
     /// Attribute value; a shared null Value when unset.
     /// Throws std::invalid_argument when the class declares no such attribute.
     [[nodiscard]] const Value& attr(std::string_view name) const;
@@ -53,8 +50,6 @@ public:
 
     /// Removes every occurrence of `target`; returns how many were removed.
     std::size_t remove_ref(std::string_view name, ObjectId target);
-
-    void clear_ref(std::string_view name);
 
     /// Convenience for the ubiquitous "name" attribute; empty if unset.
     [[nodiscard]] std::string name() const;

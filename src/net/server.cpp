@@ -294,7 +294,7 @@ bool Server::handle_request(Connection& conn, std::string_view line) {
     ++conn.requests;
     ++stats_.requests;
     std::string_view trimmed = trim_view(line);
-    bool is_quit = proto::canonical_verb(trimmed) == "quit";
+    const bool is_quit = proto::is_quit_line(trimmed);
     proto::Response resp = hub_.execute_line(trimmed, conn.ctx);
     send_response(conn, proto::format_response(resp));
     // Events raised while the request ran (breakpoints during `run`,

@@ -3,9 +3,11 @@
 // Dispatches Requests against the session straight from the static
 // session verb table, and — as an EngineObserver — turns breakpoint
 // hits, divergences, and engine-state changes into asynchronous Events
-// queued for the client. DebugSession's own control methods route
-// through the same handlers (see core/session.cpp), so the C++ API and
-// the protocol cannot drift.
+// queued for the client. The controller sits on top of the session:
+// whoever drives a session over the protocol owns one (proto::Scenario
+// does, and so does each hosted hub session through it). C++ code
+// drives the session's engine directly; the verbs make the same engine
+// calls and, with a timeline attached, journal them for rewind.
 //
 // The verb table (names, usage, summaries, handlers, per-verb latency
 // histograms) is built once per process; a controller instance holds

@@ -52,6 +52,16 @@ std::string_view canonical_verb(std::string_view verb) {
     return verb == "exit" ? "quit" : verb;
 }
 
+bool is_quit_line(std::string_view line) {
+    if (!line.empty() && line.front() == '@') {
+        // The verb starts at the first non-blank after the session tag.
+        const std::size_t verb = line.find_first_not_of(" \t", line.find_first_of(" \t"));
+        if (verb == std::string_view::npos) return false;
+        line.remove_prefix(verb);
+    }
+    return canonical_verb(line) == "quit";
+}
+
 ParseResult parse_request(std::string_view line) {
     if (line.size() > kMaxRequestLine)
         return parse_error("request line of " + std::to_string(line.size()) +

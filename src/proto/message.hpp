@@ -102,9 +102,15 @@ struct ParseResult {
 inline constexpr std::size_t kMaxRequestLine = 16 * 1024;
 
 /// `exit` is another name for `quit`; every other verb names itself.
-/// The one home of that alias: the parser, the hub's router, the script
-/// runner and the server's close-after-goodbye read verbs through it.
+/// The one home of that alias: the parser, the hub's router and
+/// is_quit_line read verbs through it.
 [[nodiscard]] std::string_view canonical_verb(std::string_view verb);
+
+/// Whether the trimmed request `line` is a bare `quit` (or `exit`),
+/// unaddressed or after an `@<session>` prefix: the request that ends
+/// the exchange. The server closes the connection once it has answered
+/// one, and the script runner stops there.
+[[nodiscard]] bool is_quit_line(std::string_view line);
 
 /// Parses one request line. Tokens are whitespace-separated; a token may
 /// be double-quoted to carry spaces, with \" \\ \n \t escapes. The verb

@@ -6,7 +6,6 @@
 
 #include "codegen/faults.hpp"
 #include "comdes/validate.hpp"
-#include "core/builder.hpp"
 #include "core/transports.hpp"
 #include "meta/diagnostics.hpp"
 
@@ -118,10 +117,8 @@ void wire_scenario(Scenario& s) {
     const meta::Model* generated = s.mutated ? s.mutated.get() : &s.sys.model();
     s.loaded = codegen::load_system(s.target, *generated,
                                     codegen::InstrumentOptions::active());
-    s.session = core::SessionBuilder(s.sys.model())
-                    .bindings(core::CommandBindingTable::defaults())
-                    .active_uart(s.target)
-                    .build();
+    s.session = std::make_unique<core::DebugSession>(s.sys.model());
+    s.session->attach(core::make_active_uart_transport(s.target));
     for (const Scenario::Stimulus& st : s.stimuli)
         s.target.schedule_publish(st.at, st.node,
                                   s.loaded.signal_index.at(st.signal.raw), st.value);

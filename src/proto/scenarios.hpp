@@ -2,10 +2,12 @@
 //
 // Each scenario bundles a COMDES design model, a simulated target with
 // the generated code loaded (active command interface), a DebugSession
-// attached over UART, and the session's controller with the run hook
-// bound to the target clock. gmdf_dbg serves these from the command
-// line; the golden-transcript tests run the same objects in-process, so
-// the CLI and the test fixtures cannot diverge.
+// attached over UART, and the protocol controller driving that session,
+// with its run hook bound to the target clock. The scenario, not the
+// session, owns the controller: the protocol sits on top of core.
+// gmdf_dbg serves these from the command line; the golden-transcript
+// tests run the same objects in-process, so the CLI and the test
+// fixtures cannot diverge.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,9 @@
 namespace gmdf::proto {
 
 /// One ready-to-drive debug scenario. Construction order matters: the
-/// model outlives the session, the target outlives its transport.
+/// model outlives the session, the target outlives its transport, and
+/// the controller unsubscribes from the session's engine before the
+/// session goes.
 struct Scenario {
     /// A scheduled environment stimulus (applied through the target's
     /// rewind-safe publish path once the system is loaded).
@@ -52,8 +56,18 @@ struct Scenario {
     explicit Scenario(std::string scenario_name)
         : name(std::move(scenario_name)), sys(name + "_system") {}
 
-    /// The session's controller (run hook already bound to the target).
-    [[nodiscard]] SessionController& controller() { return session->controller(); }
+    /// The protocol controller over `session`: wire_scenario creates it
+    /// with its run hook bound to the target; a hand-assembled scenario
+    /// gets a bare one on its first call. `session` must be set first.
+    [[nodiscard]] SessionController& controller() {
+        if (controller_ == nullptr)
+            controller_ = std::make_unique<SessionController>(*session);
+        return *controller_;
+    }
+
+private:
+    // Declared after session: its destructor unsubscribes from the engine.
+    std::unique_ptr<SessionController> controller_;
 };
 
 /// Names servable by make_scenario, in listing order.

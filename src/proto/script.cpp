@@ -363,7 +363,7 @@ void exec_node(Exec& e, const Node& n) {
         std::string line;
         if (!expand(e, n, n.text, line)) return;
         if (e.options.echo) e.out << "> " << line << "\n";
-        const bool is_quit = canonical_verb(line) == "quit";
+        const bool is_quit = is_quit_line(line);
         Response resp = e.client.execute_line(line);
         ++e.result.requests;
         if (!resp.ok()) {

@@ -5,7 +5,6 @@
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "replay/animate.hpp"
 #include "replay/compare.hpp"
 #include "rt/target.hpp"
 
@@ -187,8 +186,8 @@ void Timeline::rebuild_scene() {
     // view, built on first use, animates the truncated trace.
     if (!session_->view_built()) return;
     session_->reset_scene();
-    animate_trace(session_->design(), session_->engine().bindings(),
-                  session_->trace().events(), session_->animator());
+    core::animate_trace(session_->design(), session_->engine().bindings(),
+                        session_->trace().events(), session_->animator());
 }
 
 std::optional<NavError> Timeline::rewind_to(rt::SimTime t) {

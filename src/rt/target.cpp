@@ -132,7 +132,6 @@ void Node::start_next_job() {
     ctx.in_ = task.in_latch;
     ctx.out_ = job_out;
     ctx.dt_ = static_cast<double>(task.cfg.period) / static_cast<double>(kSec);
-    ctx.release_ = job.release;
     ctx.uart_cycles_per_byte_ = target_->uart_.cycles_per_byte;
     ctx.uart_cycles_per_frame_ = target_->uart_.cycles_per_frame;
 

@@ -66,8 +66,6 @@ public:
     /// Task period in seconds (the dt of clocked synchronous execution).
     [[nodiscard]] double dt() const { return dt_; }
 
-    [[nodiscard]] SimTime release_time() const { return release_; }
-
     /// Active command interface: queues one debug frame on the node's
     /// debug UART. Charges instrumentation cycles (frame + per byte).
     void send_debug(std::span<const std::uint8_t> bytes);
@@ -85,7 +83,6 @@ private:
     std::span<const double> in_;
     std::span<double> out_;
     double dt_ = 0.0;
-    SimTime release_ = 0;
     std::uint64_t instr_cycles_ = 0;
     std::vector<std::uint8_t> debug_bytes_;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> pokes_;
@@ -266,13 +263,10 @@ public:
     void set_network_latency(SimTime latency) { net_latency_ = latency; }
     [[nodiscard]] SimTime network_latency() const { return net_latency_; }
 
-    void set_uart(UartModel uart) { uart_ = uart; }
     [[nodiscard]] const UartModel& uart() const { return uart_; }
 
     /// Receives all active-mode debug traffic (the debugger host).
     void set_debug_sink(ByteSink sink) { debug_sink_ = std::move(sink); }
-
-    [[nodiscard]] OutputMode output_mode() const { return mode_; }
 
     /// Initializes node signal replicas and schedules periodic releases.
     /// Call exactly once, before running the simulator.

@@ -10,7 +10,6 @@
 #include "comdes/validate.hpp"
 #include "core/abstraction.hpp"
 #include "core/animator.hpp"
-#include "core/builder.hpp"
 #include "core/engine.hpp"
 #include "core/gdm.hpp"
 #include "core/session.hpp"
@@ -433,8 +432,8 @@ TEST(Session, TraceReplayIsDeterministic) {
     EXPECT_NE(frames1.back().find("machine"), std::string::npos);
 }
 
-// A bounded trace cannot re-animate what it evicted, so trace_capacity
-// builds the view up front: after evicting nearly the whole run before
+// A bounded trace cannot re-animate what it evicted, so
+// set_trace_capacity builds the view up front: after evicting nearly the whole run before
 // its first render, the bounded session shows what an unbounded session
 // whose view was built at construction shows.
 TEST(Session, BoundedTraceBuildsItsViewUpFront) {
@@ -443,14 +442,14 @@ TEST(Session, BoundedTraceBuildsItsViewUpFront) {
     rt::Target full_target;
     auto loaded = gg::load_system(bounded_target, d.sys.model(), gg::InstrumentOptions::active());
     (void)gg::load_system(full_target, d.sys.model(), gg::InstrumentOptions::active());
-    auto bounded = gco::SessionBuilder(d.sys.model())
-                       .trace_capacity(2)
-                       .active_uart(bounded_target)
-                       .build();
-    auto full = gco::SessionBuilder(d.sys.model()).active_uart(full_target).build();
-    EXPECT_TRUE(bounded->view_built());
-    EXPECT_FALSE(full->view_built());
-    (void)full->scene();
+    gco::DebugSession bounded(d.sys.model());
+    bounded.set_trace_capacity(2);
+    bounded.attach(gco::make_active_uart_transport(bounded_target));
+    gco::DebugSession full(d.sys.model());
+    full.attach(gco::make_active_uart_transport(full_target));
+    EXPECT_TRUE(bounded.view_built());
+    EXPECT_FALSE(full.view_built());
+    (void)full.scene();
 
     for (rt::Target* target : {&bounded_target, &full_target}) {
         target->start();
@@ -459,10 +458,10 @@ TEST(Session, BoundedTraceBuildsItsViewUpFront) {
         });
         target->run_for(200 * rt::kMs);
     }
-    EXPECT_EQ(bounded->trace().size(), 2u);
-    EXPECT_GT(bounded->trace().dropped(), 10u);
-    EXPECT_EQ(full->trace().dropped(), 0u);
-    gmdf::test::expect_same_view(*bounded, *full);
+    EXPECT_EQ(bounded.trace().size(), 2u);
+    EXPECT_GT(bounded.trace().dropped(), 10u);
+    EXPECT_EQ(full.trace().dropped(), 0u);
+    gmdf::test::expect_same_view(bounded, full);
 }
 
 TEST(Session, TimingDiagramAndVcdFromTrace) {

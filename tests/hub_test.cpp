@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "comdes/build.hpp"
-#include "core/builder.hpp"
 #include "core/session.hpp"
 #include "core/transports.hpp"
 #include "hub/controller.hpp"
@@ -392,7 +391,7 @@ TEST(TraceRing, EvictsOldestAndCountsDrops) {
     EXPECT_EQ(trace.capacity(), 4u) << "clear resets contents, not configuration";
 }
 
-TEST(TraceRing, BuilderKnobAndTraceVerbReportDrops) {
+TEST(TraceRing, SetCapacityAndTraceVerbReportDrops) {
     gc::SystemBuilder sys{"ringdemo"};
     auto sig = sys.add_signal("x", "real_");
     auto actor = sys.add_actor("act", 10'000);
@@ -403,15 +402,14 @@ TEST(TraceRing, BuilderKnobAndTraceVerbReportDrops) {
         transport->push({gl::Cmd::SignalUpdate, static_cast<std::uint32_t>(sig.raw), 0,
                          static_cast<float>(i)},
                         i * rt::kMs);
-    auto session = gco::SessionBuilder(sys.model())
-                       .trace_capacity(2)
-                       .transport(std::move(transport))
-                       .build();
-    session->transports()[0]->poll(session->engine(), 10 * rt::kMs);
-    EXPECT_EQ(session->trace().size(), 2u);
-    EXPECT_EQ(session->trace().dropped(), 3u);
+    gco::DebugSession session(sys.model());
+    session.set_trace_capacity(2);
+    session.attach(std::move(transport)).poll(session.engine(), 10 * rt::kMs);
+    EXPECT_EQ(session.trace().size(), 2u);
+    EXPECT_EQ(session.trace().dropped(), 3u);
 
-    auto resp = session->controller().execute_line("trace vcd");
+    gp::SessionController controller(session);
+    auto resp = controller.execute_line("trace vcd");
     ASSERT_TRUE(resp.ok());
     EXPECT_EQ(resp.body[0], "(trace ring dropped 3 oldest events; capacity 2)");
 }
@@ -424,6 +422,21 @@ TEST(CampaignVerb, SeedTakesEveryU32) {
     EXPECT_TRUE(top.ok()) << top.message;
     auto past = hub.execute_line("campaign run 1 4294967296");
     EXPECT_EQ(past.code, gp::ErrorCode::BadArgument);
+}
+
+// ---- scripts ----------------------------------------------------------------
+
+// A quit addressed to a session ends the script the way a bare one does:
+// the session says goodbye and nothing after it runs.
+TEST(HubScript, AddressedQuitStopsTheScript) {
+    gh::HubController hub;
+    ASSERT_NE(hub.open("blinker", "blinker"), nullptr);
+    std::istringstream script("@blinker quit\ninfo\n");
+    std::ostringstream out;
+    auto result = gp::run_script(hub, script, out);
+    EXPECT_TRUE(result.quit);
+    EXPECT_EQ(result.requests, 1u);
+    EXPECT_EQ(out.str(), "> @blinker quit\nok\n| bye\n");
 }
 
 // ---- golden fleet transcript ------------------------------------------------

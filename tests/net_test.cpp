@@ -291,6 +291,18 @@ TEST(NetServer, LineClientExitGetsTheGoodbyeThenEof) {
     ::close(fd);
 }
 
+// Addressed to a session, `quit` ends the exchange as well: the session's
+// goodbye, then EOF, with no further request answered on the socket.
+TEST(NetServer, LineClientAddressedQuitGetsTheGoodbyeThenEof) {
+    LoopbackServer srv;
+    int fd = raw_dial(srv.port());
+    raw_send(fd, "@blinker quit\n");
+    EXPECT_EQ(raw_read(fd, "| bye\n"), "ok\n| bye\n");
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "the server closes after the goodbye";
+    ::close(fd);
+}
+
 TEST(NetServer, SlowClientBackpressureDropsOldestEvents) {
     gn::ServerConfig config;
     config.event_queue_capacity = 2;

@@ -146,6 +146,7 @@ struct ScriptedSession {
     gc::SystemBuilder sys{"demo"};
     gm::ObjectId speed, sm_id, s_idle, s_run, t_go;
     std::unique_ptr<gco::DebugSession> session;
+    std::unique_ptr<gp::SessionController> controller;
     gl::ScriptedTransport* transport = nullptr;
     rt::SimTime now = 0;
 
@@ -166,14 +167,15 @@ struct ScriptedSession {
         auto t = std::make_unique<gl::ScriptedTransport>();
         transport = t.get();
         session->attach(std::move(t));
-        session->controller().set_run_hook([this](rt::SimTime d) {
+        controller = std::make_unique<gp::SessionController>(*session);
+        controller->set_run_hook([this](rt::SimTime d) {
             now += d;
             transport->poll(session->engine(), now);
         });
     }
 
     gp::Response exec(const std::string& line) {
-        return session->controller().execute_line(line);
+        return controller->execute_line(line);
     }
 
     void push(gl::Cmd kind, std::uint32_t a, std::uint32_t b, float v, rt::SimTime at) {
@@ -210,7 +212,8 @@ TEST(Controller, RunRejectsJunkAndMissingHook) {
     EXPECT_EQ(s.exec("run -5").code, gp::ErrorCode::BadArgument);
     EXPECT_EQ(s.exec("run").code, gp::ErrorCode::BadArgument);
     gco::DebugSession bare(s.sys.model());
-    EXPECT_EQ(bare.controller().execute_line("run 10").code, gp::ErrorCode::BadState);
+    gp::SessionController bare_controller(bare);
+    EXPECT_EQ(bare_controller.execute_line("run 10").code, gp::ErrorCode::BadState);
 }
 
 // run, checkpoint auto and rewind read <ms> the same way: junk, negative,
@@ -325,7 +328,7 @@ TEST(Controller, BreakpointFiresAndQueuesEvent) {
            static_cast<std::uint32_t>(s.s_run.raw), 0, rt::kMs);
     ASSERT_TRUE(s.exec("run 2").ok());
     EXPECT_EQ(s.session->engine().state(), gco::EngineState::Paused);
-    auto events = s.session->controller().drain_events();
+    auto events = s.controller->drain_events();
     ASSERT_GE(events.size(), 2u); // state changes + breakpoint hit
     bool hit = false;
     for (const auto& ev : events)
@@ -337,7 +340,7 @@ TEST(Controller, BreakpointFiresAndQueuesEvent) {
             EXPECT_EQ(*ev.t, rt::kMs);
         }
     EXPECT_TRUE(hit);
-    EXPECT_FALSE(s.session->controller().has_events());
+    EXPECT_FALSE(s.controller->has_events());
 }
 
 TEST(Controller, DivergenceQueuesEventAndQueryReportsIt) {
@@ -351,7 +354,7 @@ TEST(Controller, DivergenceQueuesEventAndQueryReportsIt) {
     EXPECT_EQ(q.body[0], "divergences 1");
     EXPECT_EQ(q.body.size(), 2u);
     bool diverged = false;
-    for (const auto& ev : s.session->controller().drain_events())
+    for (const auto& ev : s.controller->drain_events())
         if (ev.kind == gp::Event::Kind::Divergence) diverged = true;
     EXPECT_TRUE(diverged);
 }
@@ -468,22 +471,6 @@ TEST(Controller, EveryRegisteredVerbHasAPassingRequest) {
     for (const auto& row : gp::SessionController::verb_table())
         EXPECT_TRUE(exercised.contains(std::string(row.verb)))
             << "verb '" << row.verb << "' untested";
-}
-
-// The C++ control surface routes through the same verb handlers, so the
-// protocol counters see it.
-TEST(Session, ControlMethodsRouteThroughDispatcher) {
-    ScriptedSession s;
-    auto before = s.session->engine().stats().requests;
-    s.session->pause();
-    s.session->step("ctl");
-    s.session->resume();
-    s.session->set_step_actor("");
-    EXPECT_EQ(s.session->engine().stats().requests, before + 4);
-    EXPECT_EQ(s.transport->pauses(), 1u);
-    EXPECT_EQ(s.transport->resumes(), 1u);
-    ASSERT_EQ(s.transport->steps().size(), 1u);
-    EXPECT_EQ(s.transport->steps()[0].actor, "ctl");
 }
 
 // ---- scenarios + golden transcript -----------------------------------------

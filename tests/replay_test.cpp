@@ -563,7 +563,7 @@ TEST(Hub, RoutedRewindIsIsolated) {
 // ---- replay_frames reuse (satellite) ---------------------------------------
 
 // The `replay` verb (DebugSession::replay_frames) now rides the shared
-// replay::animate_trace; the re-animated final frame equals the live
+// core::animate_trace; the re-animated final frame equals the live
 // scene rendered at the same point.
 TEST(Replay, FramesStillMatchLiveAnimation) {
     auto s = gp::make_scenario("blinker");
@@ -572,6 +572,22 @@ TEST(Replay, FramesStillMatchLiveAnimation) {
     auto frames = s->session->replay_frames(1);
     ASSERT_FALSE(frames.empty());
     EXPECT_EQ(frames.back(), s->session->render_ascii());
+}
+
+// `replay` re-animates onto a scene of its own, so it leaves a headless
+// session headless; its reply equals that of a twin whose view was built
+// before the run.
+TEST(Replay, HeadlessReplayLeavesTheViewUnbuilt) {
+    auto headless = gp::make_scenario("gen:3");
+    auto viewed = gp::make_scenario("gen:3");
+    ASSERT_NE(headless, nullptr);
+    ASSERT_NE(viewed, nullptr);
+    (void)viewed->session->scene();
+    for (gp::Scenario* s : {headless.get(), viewed.get()}) expect_ok(*s, "run 500");
+    const gp::Response reply = exec(*headless, "replay 8");
+    ASSERT_TRUE(reply.ok()) << reply.message;
+    EXPECT_FALSE(headless->session->view_built());
+    EXPECT_EQ(gp::format_response(reply), gp::format_response(exec(*viewed, "replay 8")));
 }
 
 // ---- the view, built on first use -------------------------------------------

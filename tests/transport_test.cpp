@@ -9,7 +9,6 @@
 #include "comdes/build.hpp"
 #include "core/abstraction.hpp"
 #include "core/animator.hpp"
-#include "core/builder.hpp"
 #include "core/session.hpp"
 #include "core/transports.hpp"
 
@@ -159,7 +158,7 @@ TEST(Transport, ControlPathRoutesPauseResumeStep) {
     auto mock = std::make_unique<MockTransport>(std::vector<gl::Command>{});
     auto* raw = mock.get();
     session.attach(std::move(mock));
-    session.set_step_actor("ctl");
+    session.engine().set_step_filter({"ctl"});
 
     session.engine().add_breakpoint(
         {gco::Breakpoint::Kind::StateEnter, d.s_idle, "", true, false});
@@ -289,62 +288,54 @@ TEST(Observer, RemoveObserverStopsDelivery) {
     EXPECT_EQ(rec.events.size(), seen);
 }
 
-TEST(Builder, FluentConstructionEndToEnd) {
+// The Fig. 6 workflow built by hand: settings and observers go in before
+// attach(), so nothing the transport emits is missed.
+TEST(DirectConstruction, ActiveEndToEnd) {
     Demo d;
     rt::Target target;
     auto loaded = gg::load_system(target, d.sys.model(), gg::InstrumentOptions::active());
     (void)loaded;
 
+    gco::DebugSession session(d.sys.model());
+    session.animator().set_highlight_half_life(50 * rt::kMs);
+    session.engine().set_step_filter({"ctl"});
+    session.engine().add_breakpoint(
+        {gco::Breakpoint::Kind::StateEnter, d.s_run, "", true, /*one_shot=*/true});
     auto rec = std::make_unique<RecordingObserver>();
     auto* rec_raw = rec.get();
-    auto session = gco::SessionBuilder(d.sys.model())
-                       .bindings(gco::CommandBindingTable::defaults())
-                       .highlight_half_life(50 * rt::kMs)
-                       .step_actor("ctl")
-                       .breakpoint({gco::Breakpoint::Kind::StateEnter, d.s_run, "", true,
-                                    /*one_shot=*/true})
-                       .observer(std::move(rec))
-                       .active_uart(target)
-                       .build();
+    session.add_observer(std::move(rec));
+    session.attach(gco::make_active_uart_transport(target));
 
     target.start();
     target.run_for(200 * rt::kMs);
 
-    EXPECT_EQ(session->transports().size(), 1u);
-    EXPECT_STREQ(session->transports()[0]->name(), "active-uart");
-    EXPECT_GT(session->engine().stats().commands, 0u);
+    EXPECT_EQ(session.transports().size(), 1u);
+    EXPECT_STREQ(session.transports()[0]->name(), "active-uart");
+    EXPECT_GT(session.engine().stats().commands, 0u);
     EXPECT_FALSE(rec_raw->events.empty());
     // The breakpoint fired (machine enters run on the first scan) and
     // paused the simulated target through the transport's control path.
-    EXPECT_EQ(session->engine().stats().breakpoints_hit, 1u);
-    EXPECT_EQ(session->engine().state(), gco::EngineState::Paused);
+    EXPECT_EQ(session.engine().stats().breakpoints_hit, 1u);
+    EXPECT_EQ(session.engine().state(), gco::EngineState::Paused);
     EXPECT_TRUE(target.paused());
-    EXPECT_EQ(session->engine().step_filter().actor, "ctl");
-    EXPECT_EQ(session->divergences().size(), 0u);
+    EXPECT_EQ(session.engine().step_filter().actor, "ctl");
+    EXPECT_EQ(session.divergences().size(), 0u);
 }
 
-TEST(Builder, BuildTwiceThrows) {
-    Demo d;
-    gco::SessionBuilder b(d.sys.model());
-    auto s1 = b.build();
-    EXPECT_NE(s1, nullptr);
-    EXPECT_THROW((void)b.build(), std::logic_error);
-}
-
-TEST(Builder, PassiveJtagConvenience) {
+TEST(DirectConstruction, PassiveJtag) {
     Demo d;
     rt::Target target;
     auto loaded = gg::load_system(target, d.sys.model(), gg::InstrumentOptions::passive());
-    auto session = gco::SessionBuilder(d.sys.model())
-                       .passive_jtag(target, loaded, 2 * rt::kMs)
-                       .build();
+    gco::DebugSession session(d.sys.model());
+    session.attach(gco::make_passive_jtag_transport(target, loaded, d.sys.model(),
+                                                    2 * rt::kMs));
     target.start();
     target.run_for(200 * rt::kMs);
 
     EXPECT_EQ(target.total_instr_cycles(), 0u); // passive stays free
-    EXPECT_STREQ(session->transports()[0]->name(), "passive-jtag");
-    EXPECT_GT(session->transports()[0]->stats().polls, 0u);
-    ASSERT_TRUE(session->engine().current_state(d.sm_id).has_value());
+    EXPECT_STREQ(session.transports()[0]->name(), "passive-jtag");
+    EXPECT_GT(session.transports()[0]->stats().polls, 0u);
+    ASSERT_TRUE(session.engine().current_state(d.sm_id).has_value());
 }
 
 } // namespace

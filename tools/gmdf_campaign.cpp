@@ -16,7 +16,6 @@
 // clients (--pairs) driving .gds workloads at --fault-rate (a fraction;
 // 0.1 faults 10% of forwarded chunks). Exit status 0 iff the hub
 // survives and every client classifies — CI's chaos gate.
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +24,7 @@
 
 #include "campaign/chaos.hpp"
 #include "campaign/runner.hpp"
+#include "proto/message.hpp"
 
 namespace {
 
@@ -48,19 +48,17 @@ void print_json(const gmdf::campaign::CampaignReport& report) {
     std::printf("  }\n}\n");
 }
 
-/// Parses a whole integer flag value in [lo, max of T]; false, with the
-/// reason on stderr, on junk, overflow or a value out of range.
+/// Parses a whole decimal flag value in [lo, max of T]; false, with the
+/// reason on stderr, on junk, a sign, overflow or a value out of range.
 template <typename T>
-bool parse_number(const std::string& flag, const char* text, long long lo, T& out) {
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno != 0 || v < lo ||
-        v > static_cast<long long>(std::numeric_limits<T>::max())) {
+bool parse_number(const std::string& flag, const char* text, std::uint64_t lo, T& out) {
+    const auto v = gmdf::proto::parse_u64(text);
+    if (!v.has_value() || *v < lo ||
+        *v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
         std::fprintf(stderr, "gmdf_campaign: bad value '%s' for %s\n", text, flag.c_str());
         return false;
     }
-    out = static_cast<T>(v);
+    out = static_cast<T>(*v);
     return true;
 }
 

@@ -16,9 +16,7 @@
 // wait for that line, then parse the port). SIGINT/SIGTERM drain and
 // exit 0.
 #include <arpa/inet.h>
-#include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -27,6 +25,7 @@
 #include "hub/controller.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
+#include "proto/message.hpp"
 #include "proto/scenarios.hpp"
 
 namespace {
@@ -35,18 +34,17 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
-/// Parses all of `text` as an integer in [lo, T's maximum], or says why not.
+/// Parses all of `text` as a decimal integer in [lo, T's maximum], or
+/// says why not.
 template <typename T>
-bool parse_number(const std::string& flag, const char* text, long long lo, T& out) {
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno != 0 || v < lo ||
-        v > static_cast<long long>(std::numeric_limits<T>::max())) {
+bool parse_number(const std::string& flag, const char* text, std::uint64_t lo, T& out) {
+    const auto v = gmdf::proto::parse_u64(text);
+    if (!v.has_value() || *v < lo ||
+        *v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
         std::cerr << "gmdf_serve: bad value '" << text << "' for " << flag << "\n";
         return false;
     }
-    out = static_cast<T>(v);
+    out = static_cast<T>(*v);
     return true;
 }
 

@@ -62,7 +62,7 @@ void BM_TraceRecord(benchmark::State& state) {
         trace.record(cmd, t += rt::kMs);
         if (trace.size() > 1'000'000) {
             state.PauseTiming();
-            trace.clear();
+            trace = core::TraceRecorder{};
             state.ResumeTiming();
         }
     }

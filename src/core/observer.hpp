@@ -105,14 +105,16 @@ public:
     }
 };
 
-/// Collects divergences (previously a baked-in engine field). Bounded
-/// like core::TraceRecorder: a divergence storm on a long-lived session
-/// must not grow memory without limit, so past the capacity the oldest
-/// entries are evicted and counted.
+/// Collects divergences. Bounded: a divergence storm on a long-lived
+/// session must not grow memory without limit, so past kCapacity the
+/// oldest entries are evicted and counted.
 class DivergenceLog final : public EngineObserver {
 public:
+    /// Entries kept; generous for any real fault hunt.
+    static constexpr std::size_t kCapacity = 4096;
+
     void on_divergence(const Divergence& d) override {
-        if (capacity_ != 0 && divergences_.size() >= capacity_) {
+        if (divergences_.size() >= kCapacity) {
             divergences_.pop_front();
             ++dropped_;
         }
@@ -124,23 +126,8 @@ public:
     }
     [[nodiscard]] bool empty() const { return divergences_.empty(); }
     [[nodiscard]] std::size_t size() const { return divergences_.size(); }
-    void clear() {
-        divergences_.clear();
-        dropped_ = 0;
-    }
 
-    /// Ring capacity in entries; 0 records unbounded. Shrinking below
-    /// the current size evicts the oldest entries.
-    void set_capacity(std::size_t capacity) {
-        capacity_ = capacity;
-        while (capacity_ != 0 && divergences_.size() > capacity_) {
-            divergences_.pop_front();
-            ++dropped_;
-        }
-    }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-    /// Entries evicted because the ring was full (since the last clear).
+    /// Entries evicted because the log was full.
     [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
     /// Drops divergences after simulated time `t` (rewind discards the
@@ -153,7 +140,6 @@ public:
 
 private:
     std::deque<Divergence> divergences_;
-    std::size_t capacity_ = 4096; ///< generous for any real fault hunt
     std::uint64_t dropped_ = 0;
 };
 

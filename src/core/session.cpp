@@ -28,11 +28,6 @@ DebugSession::View& DebugSession::view() {
     return *view_;
 }
 
-void DebugSession::set_trace_capacity(std::size_t capacity) {
-    if (capacity != 0) (void)view();
-    trace_.set_capacity(capacity);
-}
-
 link::Transport& DebugSession::attach(std::unique_ptr<link::Transport> transport) {
     link::Transport& t = *transport;
     transports_.push_back(std::move(transport));

@@ -26,11 +26,10 @@
 // first time something asks for it (scene(), gdm(), abstraction(),
 // animator(), the renders, gdm_text()). A headless session (a campaign
 // twin, a fleet session nobody renders) never builds it. The late build
-// is exact: it re-animates the recorded trace through animate_trace, and
-// the trace recorder and the animator are both plain observers, so they
-// see the same commands in the same order. Three consequences:
-//   - a bounded trace cannot re-animate what it evicted, so a non-zero
-//     set_trace_capacity() builds the view at once;
+// is exact: it re-animates the recorded trace through animate_trace, the
+// trace recorder keeps every command, and the recorder and the animator
+// are both plain observers, so they see the same commands in the same
+// order. Two consequences:
 //   - a late view re-animates with the engine's bindings as they are at
 //     that moment. In the library and tools nothing changes bindings
 //     after the first event. The F6 workflow bench changes them after
@@ -115,13 +114,6 @@ public:
     /// stable, so registered animators stay valid. Used by rewind before
     /// re-animating the surviving trace.
     void reset_scene();
-
-    /// Bounds the trace recorder to a ring of `capacity` events (0:
-    /// unbounded, the default). Long-running hub sessions set this so the
-    /// trace holds the most recent window instead of growing forever.
-    /// A bounded trace cannot re-animate what it evicts, so a non-zero
-    /// capacity builds the view first.
-    void set_trace_capacity(std::size_t capacity);
 
     /// Divergences between observed behaviour and the design model.
     [[nodiscard]] const std::deque<Divergence>& divergences() const {

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,55 +24,16 @@ struct TraceEvent {
 
 /// Timestamped record of every command the debugger observed. Registers
 /// on the engine as an observer (on_command) or is fed directly.
-///
-/// Optionally bounded: with a ring capacity set, the oldest events are
-/// evicted once the recorder is full, so long-running sessions hold the
-/// most recent window instead of growing without bound.
 class TraceRecorder final : public EngineObserver {
 public:
     void on_command(const link::Command& cmd, rt::SimTime t) override { record(cmd, t); }
 
-    void record(const link::Command& cmd, rt::SimTime t) {
-        if (capacity_ != 0 && events_.size() >= capacity_) {
-            evict_front();
-        }
-        events_.push_back({t, cmd});
-    }
-    void clear() {
-        events_.clear();
-        dropped_ = 0;
-        dropped_through_ = 0;
-    }
+    void record(const link::Command& cmd, rt::SimTime t) { events_.push_back({t, cmd}); }
 
     /// Drops events after simulated time `t` (rewind discards the
-    /// abandoned future). Eviction accounting is untouched — only the
-    /// newest entries go.
+    /// abandoned future).
     void truncate_after(rt::SimTime t) {
         while (!events_.empty() && events_.back().t > t) events_.pop_back();
-    }
-
-    /// Ring capacity in events; 0 (the default) records unbounded.
-    /// Shrinking below the current size evicts the oldest events.
-    void set_capacity(std::size_t capacity) {
-        capacity_ = capacity;
-        while (capacity_ != 0 && events_.size() > capacity_) {
-            evict_front();
-        }
-    }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-    /// Events evicted because the ring was full (since the last clear()).
-    [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-
-    /// Timestamp of the newest evicted event: history at or before this
-    /// time is gone from the ring. 0 when nothing was dropped.
-    [[nodiscard]] rt::SimTime dropped_through() const { return dropped_through_; }
-
-    /// Simulated time of the oldest retained event; nullopt when empty.
-    /// With drops, [earliest_retained, back] is the replayable window.
-    [[nodiscard]] std::optional<rt::SimTime> earliest_retained() const {
-        if (events_.empty()) return std::nullopt;
-        return events_.front().t;
     }
 
     [[nodiscard]] const std::deque<TraceEvent>& events() const { return events_; }
@@ -91,16 +51,7 @@ public:
     [[nodiscard]] std::string to_vcd(const meta::Model& design) const;
 
 private:
-    void evict_front() {
-        dropped_through_ = events_.front().t;
-        events_.pop_front();
-        ++dropped_;
-    }
-
     std::deque<TraceEvent> events_;
-    std::size_t capacity_ = 0;
-    std::uint64_t dropped_ = 0;
-    rt::SimTime dropped_through_ = 0;
 };
 
 } // namespace gmdf::core

@@ -224,7 +224,7 @@ void HubController::collect_events(SessionRegistry::Entry& entry) {
             event_sink_(entry.id, entry.name, line);
             continue;
         }
-        if (event_capacity_ != 0 && event_lines_.size() >= event_capacity_) {
+        if (event_lines_.size() >= kEventCapacity) {
             event_lines_.pop_front();
             ++stats_.events_dropped;
         }
@@ -392,7 +392,14 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
     }
 
     if (entry == nullptr) {
-        if (verb == "quit") return hub_ok({"bye"});
+        // Answered as a session answers it: the goodbye is for a bare quit.
+        if (verb == "quit") {
+            auto parsed = proto::parse_request(line);
+            if (!parsed.ok()) return hub_error(proto::ErrorCode::BadRequest, parsed.error);
+            if (!parsed.request->args.empty())
+                return hub_error(proto::ErrorCode::BadArgument, "usage: quit");
+            return hub_ok({"bye"});
+        }
         return hub_error(proto::ErrorCode::BadState,
                          "no open session (try 'session open <scenario>')");
     }

@@ -179,10 +179,10 @@ public:
         net_stats_provider_ = std::move(provider);
     }
 
-    /// Bounds the hub event queue (a client not draining must not grow
-    /// memory without bound; the oldest lines are evicted and counted in
-    /// stats().events_dropped). 0 is unbounded; defaults to 65536.
-    void set_event_capacity(std::size_t capacity) { event_capacity_ = capacity; }
+    /// Event lines the hub queue keeps: a client not draining must not
+    /// grow memory without bound, so the oldest lines are evicted and
+    /// counted in stats().events_dropped.
+    static constexpr std::size_t kEventCapacity = 65536;
 
     [[nodiscard]] const HubStats& stats() const { return stats_; }
 
@@ -241,7 +241,6 @@ private:
     /// Guards the hub event queue, its drop counter, and the event
     /// sink call — the MPSC surface worker threads publish into.
     std::mutex event_mu_;
-    std::size_t event_capacity_ = 65536;
     std::deque<std::string> event_lines_;
     EventSink event_sink_;
     NetStatsProvider net_stats_provider_;

@@ -37,13 +37,10 @@ void Tracer::start() {
     // Quiesce recorders before clearing so a span racing stop()/start()
     // lands either in the old capture or the new one, never in a torn ring.
     enabled_.store(false, std::memory_order_relaxed);
-    for (Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        ring.events.clear();
-        ring.dropped = 0;
-    }
     {
-        std::lock_guard<std::mutex> lock(meta_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
+        events_.clear();
+        dropped_ = 0;
         thread_names_.clear();
     }
     epoch_ = std::chrono::steady_clock::now();
@@ -54,7 +51,8 @@ void Tracer::stop() { enabled_.store(false, std::memory_order_relaxed); }
 
 void Tracer::set_capacity(std::size_t events) {
     stop();
-    capacity_ = events == 0 ? 1 : events;
+    std::lock_guard<std::mutex> lock(mu_);
+    capacity_ = std::max<std::size_t>(1, events);
 }
 
 std::uint64_t Tracer::since_start(std::chrono::steady_clock::time_point t) const {
@@ -67,65 +65,51 @@ std::uint64_t Tracer::since_start(std::chrono::steady_clock::time_point t) const
 void Tracer::record(std::string name, const char* category, std::uint64_t begin_ns,
                     std::uint64_t duration_ns, int tid, std::string args_json) {
     if (!enabled()) return;
-    Ring& ring = ring_for_tid(tid);
-    const std::size_t per_ring = std::max<std::size_t>(1, capacity_ / kRings);
-    std::lock_guard<std::mutex> lock(ring.mu);
-    if (ring.events.size() >= per_ring) {
-        ring.events.pop_front();
-        ++ring.dropped;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (events_.size() >= capacity_) {
+        events_.pop_front();
+        ++dropped_;
     }
-    ring.events.push_back(Event{std::move(name), category, begin_ns, duration_ns, tid,
-                                std::move(args_json)});
+    events_.push_back(Event{std::move(name), category, begin_ns, duration_ns, tid,
+                            std::move(args_json)});
 }
 
 void Tracer::set_thread_name(int tid, std::string name) {
-    std::lock_guard<std::mutex> lock(meta_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     thread_names_[tid] = std::move(name);
 }
 
 std::size_t Tracer::event_count() const {
-    std::size_t n = 0;
-    for (const Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        n += ring.events.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_.size();
 }
 
 std::uint64_t Tracer::dropped() const {
-    std::uint64_t n = 0;
-    for (const Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        n += ring.dropped;
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return dropped_;
 }
 
 void Tracer::write_chrome_json(std::ostream& out) const {
-    std::vector<Event> events;
-    for (const Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        events.insert(events.end(), ring.events.begin(), ring.events.end());
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    std::vector<Event> events(events_.begin(), events_.end());
+    const std::map<int, std::string> thread_names = thread_names_;
+    lock.unlock();
     std::stable_sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
         return a.begin_ns < b.begin_ns;
     });
 
     out << "{\"traceEvents\":[";
     bool first = true;
-    {
-        std::lock_guard<std::mutex> lock(meta_mu_);
-        for (const auto& [tid, name] : thread_names_) {
-            std::string line;
-            line += first ? "\n" : ",\n";
-            line += "{\"ph\":\"M\",\"pid\":0,\"tid\":";
-            line += std::to_string(tid);
-            line += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-            append_json_escaped(line, name);
-            line += "\"}}";
-            out << line;
-            first = false;
-        }
+    for (const auto& [tid, name] : thread_names) {
+        std::string line;
+        line += first ? "\n" : ",\n";
+        line += "{\"ph\":\"M\",\"pid\":0,\"tid\":";
+        line += std::to_string(tid);
+        line += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+        append_json_escaped(line, name);
+        line += "\"}}";
+        out << line;
+        first = false;
     }
     char num[32];
     for (const Event& ev : events) {

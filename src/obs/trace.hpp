@@ -15,9 +15,9 @@
 //
 // The tracer is a process-global, ring-buffered span recorder, off by
 // default. When enabled (`trace profile start`, or `gmdf_serve
-// --trace-out`), spans land in lock-sharded rings; write_chrome_json()
-// renders them as Chrome trace-event JSON that loads directly in Perfetto
-// / chrome://tracing.
+// --trace-out`), spans from every thread land in one ring under one mutex;
+// write_chrome_json() renders them as Chrome trace-event JSON that loads
+// directly in Perfetto / chrome://tracing.
 //
 // Trace "thread" ids are a presentation concept, not OS tids: the fleet
 // pump passes an explicit per-shard tid (kShardTidBase + shard) so slices
@@ -27,8 +27,8 @@
 // metadata rows Perfetto uses as track labels.
 //
 // Timestamps are steady-clock nanoseconds since start(); start() clears any
-// previous capture. Rings drop the oldest events once full (dropped() says
-// how many), so a long capture keeps the most recent window.
+// previous capture. The ring drops the oldest events once full (dropped()
+// says how many), so a long capture keeps the most recent window.
 #pragma once
 
 #include <atomic>
@@ -49,6 +49,8 @@ class Tracer {
   public:
     // Presentation tid for fleet-pump shard workers: shard w → kShardTidBase + w.
     static constexpr int kShardTidBase = 1000;
+    // Ring bound until set_capacity() changes it.
+    static constexpr std::size_t kDefaultCapacity = 1 << 18;
 
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
@@ -56,7 +58,8 @@ class Tracer {
     void start();
     void stop();
 
-    // Max buffered events across all rings; resets the capture.
+    // Max events the ring holds (at least 1). Stops the capture; the next
+    // start() begins a fresh one under the new bound.
     void set_capacity(std::size_t events);
 
     std::uint64_t now_ns() const { return since_start(std::chrono::steady_clock::now()); }
@@ -88,20 +91,12 @@ class Tracer {
         std::string args_json; // pre-rendered {"k":"v"} payload, may be empty
     };
 
-    struct Ring {
-        mutable std::mutex mu;
-        std::deque<Event> events;
-        std::uint64_t dropped = 0;
-    };
-
-    static constexpr std::size_t kRings = 8;
-    Ring& ring_for_tid(int tid) { return rings_[static_cast<std::size_t>(tid) % kRings]; }
-
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_{};
-    std::size_t capacity_ = 1 << 18;
-    Ring rings_[kRings];
-    mutable std::mutex meta_mu_;
+    mutable std::mutex mu_; // guards everything below
+    std::size_t capacity_ = kDefaultCapacity;
+    std::deque<Event> events_;
+    std::uint64_t dropped_ = 0;
     std::map<int, std::string> thread_names_;
 };
 

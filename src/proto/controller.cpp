@@ -477,20 +477,20 @@ Response SessionController::cmd_query(const Request& req) {
                            std::to_string(ts.corrupt_frames) + " polls=" +
                            std::to_string(ts.polls));
         }
-        // Bounded-ring drop lines follow the cmd_trace convention:
-        // silent until something was actually evicted, so unbounded and
-        // quiet sessions keep their exact historical transcripts.
+        // Bounded-ring drop lines stay silent until something was
+        // actually evicted, so quiet sessions keep their exact
+        // historical transcripts.
         const core::DivergenceLog& dlog = session_->divergence_log();
         if (dlog.dropped() > 0)
             body.push_back("divergence-ring dropped " +
                            std::to_string(dlog.dropped()) +
                            " oldest entries (capacity " +
-                           std::to_string(dlog.capacity()) + ")");
+                           std::to_string(core::DivergenceLog::kCapacity) + ")");
         if (timeline_ != nullptr && timeline_->journal_dropped() > 0)
             body.push_back("journal-ring dropped " +
                            std::to_string(timeline_->journal_dropped()) +
                            " oldest entries (capacity " +
-                           std::to_string(timeline_->journal_capacity()) + ")");
+                           std::to_string(replay::Timeline::kJournalCapacity) + ")");
         return Response::make_ok(std::move(body));
     }
 
@@ -516,26 +516,11 @@ Response SessionController::cmd_render(const Request& req) {
 }
 
 Response SessionController::cmd_trace(const Request& req) {
-    // Bounded recorders evict the oldest events; say so ahead of any
-    // export built from the surviving window. (Silent with no drops, so
-    // unbounded sessions keep their exact historical transcripts.)
-    auto export_ok = [this](const std::string& text) {
-        std::vector<std::string> body;
-        if (session_->trace().dropped() > 0)
-            body.push_back("(trace ring dropped " +
-                           std::to_string(session_->trace().dropped()) +
-                           " oldest events; capacity " +
-                           std::to_string(session_->trace().capacity()) + ")");
-        auto lines = split_lines(text);
-        body.insert(body.end(), lines.begin(), lines.end());
-        return Response::make_ok(std::move(body));
-    };
-
     if (req.args.empty()) return bad_args("trace vcd|timing [columns]");
     if (req.args[0] == "profile") return cmd_trace_profile(req);
     if (req.args[0] == "vcd") {
         if (req.args.size() != 1) return bad_args("trace vcd");
-        return export_ok(session_->vcd());
+        return Response::make_ok(split_lines(session_->vcd()));
     }
     if (req.args[0] == "timing") {
         if (req.args.size() > 2) return bad_args("trace timing [columns]");
@@ -548,7 +533,8 @@ Response SessionController::cmd_trace(const Request& req) {
                                                 "' is not a column count (>= 8)");
             columns = static_cast<std::size_t>(*n);
         }
-        return export_ok(session_->timing_diagram().render_ascii(columns));
+        return Response::make_ok(
+            split_lines(session_->timing_diagram().render_ascii(columns)));
     }
     return bad_args("trace vcd|timing [columns]");
 }

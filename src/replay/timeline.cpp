@@ -85,23 +85,16 @@ void Timeline::advance(rt::SimTime duration) {
     }
 }
 
-void Timeline::set_journal_capacity(std::size_t capacity) {
-    journal_capacity_ = capacity;
-    while (journal_capacity_ != 0 && journal_.size() > journal_capacity_) {
-        journal_.pop_front();
-        ++journal_base_;
-        ++journal_dropped_;
-    }
+void Timeline::note(ControlOp op) {
+    op.at = target_->sim().now();
+    journal_.push_back(std::move(op));
+    if (journal_.size() <= kJournalCapacity) return;
+    journal_.pop_front();
+    ++journal_base_;
     // Checkpoints anchored before the surviving window can no longer
     // catch up — rewind past them now refuses with its usual
     // out-of-range/no-checkpoint error instead of replaying wrong.
     store_.drop_before_journal_index(journal_base_);
-}
-
-void Timeline::note(ControlOp op) {
-    op.at = target_->sim().now();
-    journal_.push_back(std::move(op));
-    set_journal_capacity(journal_capacity_); // evicts the oldest past the bound
 }
 
 bool Timeline::transports_replay_safe(std::string* who) const {

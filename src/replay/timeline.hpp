@@ -121,20 +121,18 @@ public:
 
     // ---- journal (called by the protocol controller) -----------------------
 
+    /// Control actions the journal keeps. Past it the oldest actions are
+    /// evicted, and checkpoints whose catch-up window they anchored are
+    /// dropped with them, which shrinks how far back rewind can reach
+    /// (never its correctness).
+    static constexpr std::size_t kJournalCapacity = 65536;
+
     /// Journals a control action just applied to the engine, stamped
     /// with the session clock.
     void note(ControlOp op);
 
-    /// Journal ring capacity in control actions; 0 records unbounded.
-    /// Like the trace ring, the oldest actions are evicted past it —
-    /// checkpoints whose catch-up window they anchored are dropped with
-    /// them, which shrinks how far back rewind can reach (never its
-    /// correctness).
-    void set_journal_capacity(std::size_t capacity);
-    [[nodiscard]] std::size_t journal_capacity() const { return journal_capacity_; }
-
-    /// Control actions evicted because the ring was full.
-    [[nodiscard]] std::uint64_t journal_dropped() const { return journal_dropped_; }
+    /// Control actions evicted because the journal was full.
+    [[nodiscard]] std::uint64_t journal_dropped() const { return journal_base_; }
 
     // ---- navigation --------------------------------------------------------
 
@@ -169,12 +167,10 @@ private:
     CheckpointStore store_;
     /// Journal ring, in time order. Checkpoint.journal_index stays an
     /// *absolute* index (controls ever journaled); journal_base_ is the
-    /// absolute index of journal_.front(), so eviction never invalidates
-    /// stored indices.
+    /// absolute index of journal_.front(), which is also the number of
+    /// evicted controls, so eviction never invalidates stored indices.
     std::deque<ControlOp> journal_;
     std::size_t journal_base_ = 0;
-    std::size_t journal_capacity_ = 65536;
-    std::uint64_t journal_dropped_ = 0;
     rt::SimTime auto_period_ = 0;
     rt::SimTime next_capture_ = 0;
     bool replaying_ = false;

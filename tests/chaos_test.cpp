@@ -626,62 +626,72 @@ TEST(ChaosCampaign, ChannelTellsHubErrorsFromTransportFailures) {
 
 // ---- bounded rings ----------------------------------------------------------
 
-TEST(BoundedRings, DivergenceLogEvictsOldestAndCounts) {
-    gmdf::core::DivergenceLog log;
-    log.set_capacity(3);
-    for (int i = 0; i < 8; ++i) {
+/// Sends `n` controls that alternate pause and resume, starting with
+/// pause on an animating engine.
+void alternate_pause_resume(gp::SessionController& ctl, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(ctl.execute_line(i % 2 == 0 ? "pause" : "resume").ok()) << i;
+}
+
+TEST(BoundedRings, DivergenceLogEvictsOldestAndSurfacesInQueryStats) {
+    using gmdf::core::DivergenceLog;
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    DivergenceLog& log = scenario->session->divergence_log();
+    constexpr std::size_t kEntries = DivergenceLog::kCapacity + 5;
+    for (std::size_t i = 0; i < kEntries; ++i) {
         gmdf::core::Divergence d;
-        d.t = i * gr::kMs;
+        d.t = static_cast<gr::SimTime>(i) * gr::kMs;
         d.message = "d" + std::to_string(i);
         log.on_divergence(d);
     }
-    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.size(), DivergenceLog::kCapacity);
     EXPECT_EQ(log.dropped(), 5u);
     EXPECT_EQ(log.divergences().front().message, "d5");
-    EXPECT_EQ(log.divergences().back().message, "d7");
-    log.clear();
-    EXPECT_EQ(log.dropped(), 0u);
-}
-
-TEST(BoundedRings, TimelineJournalEvictsAndSurfacesInQueryStats) {
-    auto scenario = gp::make_scenario("blinker");
-    ASSERT_NE(scenario, nullptr);
-    scenario->timeline->set_journal_capacity(4);
-
-    // Only control actions are journaled: 16 pauses and resumes overrun
-    // a ring of 4.
-    for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(scenario->controller().execute_line("run 10").ok());
-        ASSERT_TRUE(scenario->controller().execute_line("pause").ok());
-        ASSERT_TRUE(scenario->controller().execute_line("resume").ok());
-    }
-    ASSERT_GT(scenario->timeline->journal_dropped(), 0u);
+    EXPECT_EQ(log.divergences().back().message, "d" + std::to_string(kEntries - 1));
 
     gp::Response stats = scenario->controller().execute_line("query stats");
     ASSERT_TRUE(stats.ok());
-    bool surfaced = false;
-    for (const std::string& line : stats.body)
-        surfaced = surfaced || line.find("journal-ring dropped") != std::string::npos;
-    EXPECT_TRUE(surfaced) << "journal drops invisible in query stats";
-
-    // The bounded journal still replays what it kept: a rewind to the
-    // most recent checkpoint must succeed.
-    EXPECT_TRUE(scenario->controller().execute_line("checkpoint now").ok());
-    EXPECT_TRUE(scenario->controller().execute_line("run 10").ok());
-    EXPECT_TRUE(scenario->controller().execute_line("rewind 80").ok());
+    EXPECT_EQ(stats.body.back(), "divergence-ring dropped 5 oldest entries (capacity 4096)");
 }
 
-// Runs take no journal space: a ring of 2 holds the two controls below,
-// so the checkpoint before them stays a rewind anchor.
+TEST(BoundedRings, TimelineJournalEvictsAndSurfacesInQueryStats) {
+    using gmdf::replay::Timeline;
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    gp::SessionController& ctl = scenario->controller();
+    ASSERT_TRUE(ctl.execute_line("checkpoint now").ok());
+    ASSERT_TRUE(ctl.execute_line("run 10").ok());
+    alternate_pause_resume(ctl, Timeline::kJournalCapacity + 2);
+    EXPECT_EQ(scenario->timeline->journal_dropped(), 2u);
+
+    gp::Response stats = ctl.execute_line("query stats");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.body.back(), "journal-ring dropped 2 oldest entries (capacity 65536)");
+
+    // The checkpoint before the evicted controls went with them: rewind
+    // refuses instead of replaying without them.
+    EXPECT_FALSE(ctl.execute_line("rewind 5").ok());
+    // The bounded journal still replays what it kept.
+    EXPECT_TRUE(ctl.execute_line("checkpoint now").ok());
+    EXPECT_TRUE(ctl.execute_line("run 10").ok());
+    gp::Response rewound = ctl.execute_line("rewind 15");
+    EXPECT_TRUE(rewound.ok()) << rewound.message;
+}
+
+// Runs take no journal space: the checkpoint that opens a journal filled
+// to exactly its bound by controls, with runs between them, stays a
+// rewind anchor.
 TEST(BoundedRings, RunsDoNotConsumeJournalCapacity) {
     auto scenario = gp::make_scenario("blinker");
     ASSERT_NE(scenario, nullptr);
-    scenario->timeline->set_journal_capacity(2);
+    gp::SessionController& ctl = scenario->controller();
     for (const char* line :
          {"checkpoint now", "run 10", "pause", "run 10", "resume", "run 10"})
-        ASSERT_TRUE(scenario->controller().execute_line(line).ok()) << line;
+        ASSERT_TRUE(ctl.execute_line(line).ok()) << line;
+    alternate_pause_resume(ctl, gmdf::replay::Timeline::kJournalCapacity - 2);
     EXPECT_EQ(scenario->timeline->journal_dropped(), 0u);
-    gp::Response rewound = scenario->controller().execute_line("rewind 5");
+    gp::Response rewound = ctl.execute_line("rewind 5");
     EXPECT_TRUE(rewound.ok()) << rewound.message;
 }
 

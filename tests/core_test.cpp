@@ -16,7 +16,6 @@
 #include "core/transports.hpp"
 #include "meta/serialize.hpp"
 #include "meta/validate.hpp"
-#include "scene_state.hpp"
 
 namespace gc = gmdf::comdes;
 namespace gg = gmdf::codegen;
@@ -430,38 +429,6 @@ TEST(Session, TraceReplayIsDeterministic) {
     ASSERT_FALSE(frames1.empty());
     EXPECT_EQ(frames1, frames2);
     EXPECT_NE(frames1.back().find("machine"), std::string::npos);
-}
-
-// A bounded trace cannot re-animate what it evicted, so
-// set_trace_capacity builds the view up front: after evicting nearly the whole run before
-// its first render, the bounded session shows what an unbounded session
-// whose view was built at construction shows.
-TEST(Session, BoundedTraceBuildsItsViewUpFront) {
-    DemoSystem d;
-    rt::Target bounded_target;
-    rt::Target full_target;
-    auto loaded = gg::load_system(bounded_target, d.sys.model(), gg::InstrumentOptions::active());
-    (void)gg::load_system(full_target, d.sys.model(), gg::InstrumentOptions::active());
-    gco::DebugSession bounded(d.sys.model());
-    bounded.set_trace_capacity(2);
-    bounded.attach(gco::make_active_uart_transport(bounded_target));
-    gco::DebugSession full(d.sys.model());
-    full.attach(gco::make_active_uart_transport(full_target));
-    EXPECT_TRUE(bounded.view_built());
-    EXPECT_FALSE(full.view_built());
-    (void)full.scene();
-
-    for (rt::Target* target : {&bounded_target, &full_target}) {
-        target->start();
-        target->sim().at(30 * rt::kMs, [target, &loaded, &d] {
-            target->node(0).publish_signal(loaded.signal_index.at(d.cmd_sig.raw), 2.0);
-        });
-        target->run_for(200 * rt::kMs);
-    }
-    EXPECT_EQ(bounded.trace().size(), 2u);
-    EXPECT_GT(bounded.trace().dropped(), 10u);
-    EXPECT_EQ(full.trace().dropped(), 0u);
-    gmdf::test::expect_same_view(bounded, full);
 }
 
 TEST(Session, TimingDiagramAndVcdFromTrace) {

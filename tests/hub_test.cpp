@@ -1,28 +1,20 @@
 // Tests for the multi-session debug hub: registry lifecycle (open /
 // close / reopen, stable ids), @<session> request routing including the
 // closed-session error path, scheduler fairness under a flooding
-// transport, event tagging, hub aggregate stats, the bounded trace
-// recorder, the bounded controller event queue, and the golden fleet
-// transcript.
+// transport, event tagging, hub aggregate stats, the bounded controller
+// and hub event queues, and the golden fleet transcript.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <set>
 #include <sstream>
 
-#include "comdes/build.hpp"
-#include "core/session.hpp"
-#include "core/transports.hpp"
 #include "hub/controller.hpp"
 #include "hub/registry.hpp"
 #include "proto/script.hpp"
 #include "scripted_scenario.hpp"
 
-namespace gc = gmdf::comdes;
-namespace gco = gmdf::core;
 namespace gh = gmdf::hub;
-namespace gl = gmdf::link;
-namespace gm = gmdf::meta;
 namespace gp = gmdf::proto;
 namespace rt = gmdf::rt;
 
@@ -142,6 +134,26 @@ TEST(Routing, ExitAnswersLikeQuit) {
     auto quit = hub.execute_line("quit");
     ASSERT_TRUE(quit.ok()) << quit.message;
     EXPECT_EQ(gp::format_response(hub.execute_line("exit")), gp::format_response(quit));
+}
+
+// With or without a current session, the goodbye goes only to a bare
+// quit or exit (blanks allowed), the line proto::is_quit_line ends the
+// exchange on; anything after the verb is refused with the usage.
+TEST(Routing, OnlyABareQuitGetsTheGoodbye) {
+    gh::HubController hub;
+    ASSERT_NE(hub.open("blinker", "a"), nullptr);
+    gh::RouteContext none; // no current session
+    const std::string bye = "ok\n| bye\n";
+    const std::string usage = "error bad-argument: usage: quit\n";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"quit", bye},       {"exit", bye},       {" \tquit \t", bye},
+        {"quit foo", usage}, {"exit foo", usage}, {"quit \"\"", usage},
+    };
+    for (const auto& [line, answer] : cases) {
+        SCOPED_TRACE(line);
+        EXPECT_EQ(gp::format_response(hub.execute_line(line, none)), answer);
+        EXPECT_EQ(gp::format_response(hub.execute_line(line)), answer);
+    }
 }
 
 // Each form that names a session refuses an unknown one and an
@@ -271,17 +283,27 @@ TEST(Events, QueueDropsAreCountedInEngineStats) {
 
 TEST(Events, HubQueueIsBoundedWhenNobodyDrains) {
     gh::HubController hub;
-    hub.set_event_capacity(8);
     auto* entry = hub.open("blinker", "busy");
     ASSERT_NE(entry, nullptr);
-    for (int i = 0; i < 20; ++i) {
+    // Each request sweeps the controller's queue (4096 deep) into the
+    // hub's, so batches of 4000 overflow the hub's bound without a drop
+    // upstream.
+    constexpr int kBatch = 4000;
+    constexpr int kEvents = 17 * kBatch;
+    static_assert(kEvents > gh::HubController::kEventCapacity);
+    for (int i = 0; i < kEvents; ++i) {
         entry->controller().on_divergence({i, {}, "synthetic divergence"});
-        ASSERT_TRUE(hub.execute_line("info").ok()); // sweeps into the hub queue
+        if ((i + 1) % kBatch == 0) {
+            ASSERT_TRUE(hub.execute_line("info").ok());
+        }
     }
-    EXPECT_EQ(hub.stats().events_dropped, 12u);
+    constexpr auto kDropped = kEvents - gh::HubController::kEventCapacity;
+    EXPECT_EQ(entry->controller().dropped_events(), 0u);
+    EXPECT_EQ(hub.stats().events_dropped, kDropped);
     auto lines = hub.drain_event_lines();
-    ASSERT_EQ(lines.size(), 8u);
-    EXPECT_NE(lines.front().find("@12ns"), std::string::npos) << "oldest evicted first";
+    ASSERT_EQ(lines.size(), gh::HubController::kEventCapacity);
+    EXPECT_NE(lines.front().find("@" + std::to_string(kDropped) + "ns"), std::string::npos)
+        << "oldest evicted first: " << lines.front();
 }
 
 // ---- hub stats --------------------------------------------------------------
@@ -362,56 +384,6 @@ TEST(HubStats, ReadmeVerbTablesEqualHelp) {
                                 cell(line.substr(sep + 4)) + " |";
         EXPECT_TRUE(lines.contains(row)) << "README.md has no row\n" << row;
     }
-}
-
-// ---- bounded trace recorder -------------------------------------------------
-
-TEST(TraceRing, EvictsOldestAndCountsDrops) {
-    gco::TraceRecorder trace;
-    EXPECT_EQ(trace.capacity(), 0u);
-    for (int i = 0; i < 10; ++i)
-        trace.record({gl::Cmd::SignalUpdate, 1, 0, static_cast<float>(i)}, i);
-    EXPECT_EQ(trace.size(), 10u);
-    EXPECT_EQ(trace.dropped(), 0u);
-
-    trace.set_capacity(4); // shrink below current size: evict oldest
-    EXPECT_EQ(trace.size(), 4u);
-    EXPECT_EQ(trace.dropped(), 6u);
-    EXPECT_EQ(trace.events().front().t, 6);
-
-    trace.record({gl::Cmd::SignalUpdate, 1, 0, 10.0f}, 10);
-    EXPECT_EQ(trace.size(), 4u);
-    EXPECT_EQ(trace.dropped(), 7u);
-    EXPECT_EQ(trace.events().front().t, 7);
-    EXPECT_EQ(trace.events().back().t, 10);
-
-    trace.clear();
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.dropped(), 0u);
-    EXPECT_EQ(trace.capacity(), 4u) << "clear resets contents, not configuration";
-}
-
-TEST(TraceRing, SetCapacityAndTraceVerbReportDrops) {
-    gc::SystemBuilder sys{"ringdemo"};
-    auto sig = sys.add_signal("x", "real_");
-    auto actor = sys.add_actor("act", 10'000);
-    auto sm = actor.add_sm("machine", {"go"}, {"out"});
-    sm.add_state("idle", {{"out", "0"}});
-    auto transport = std::make_unique<gl::ScriptedTransport>();
-    for (int i = 1; i <= 5; ++i)
-        transport->push({gl::Cmd::SignalUpdate, static_cast<std::uint32_t>(sig.raw), 0,
-                         static_cast<float>(i)},
-                        i * rt::kMs);
-    gco::DebugSession session(sys.model());
-    session.set_trace_capacity(2);
-    session.attach(std::move(transport)).poll(session.engine(), 10 * rt::kMs);
-    EXPECT_EQ(session.trace().size(), 2u);
-    EXPECT_EQ(session.trace().dropped(), 3u);
-
-    gp::SessionController controller(session);
-    auto resp = controller.execute_line("trace vcd");
-    ASSERT_TRUE(resp.ok());
-    EXPECT_EQ(resp.body[0], "(trace ring dropped 3 oldest events; capacity 2)");
 }
 
 // ---- campaign verb ----------------------------------------------------------

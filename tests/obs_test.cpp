@@ -321,7 +321,7 @@ TEST(Instrumentation, SpansAndHistogramsCountTheSameOperations) {
     EXPECT_GT(restores, 0u);
     EXPECT_EQ(span_count("capture"), captures);
     EXPECT_EQ(span_count("restore"), restores);
-    go::tracer().set_capacity(1 << 18); // restore the default for later tests
+    go::tracer().set_capacity(go::Tracer::kDefaultCapacity); // for later tests
 }
 
 // ---- the metrics verb -------------------------------------------------------
@@ -503,12 +503,15 @@ TEST(Tracer, ShardedPumpExportsWellFormedChromeTrace) {
     for (int i = 0; i < 4; ++i)
         ASSERT_NE(hub.open("blinker", "b" + std::to_string(i)), nullptr);
 
-    go::tracer().set_capacity(1 << 14);
+    // 600 slices and one dispatch fit a bound of 800 spans, whichever
+    // shards pumped them.
+    go::tracer().set_capacity(800);
     go::tracer().start();
-    ASSERT_TRUE(
-        hub.execute_line("run 200").ok());
+    ASSERT_TRUE(hub.execute_line("run 1500").ok());
     go::tracer().stop();
-    EXPECT_GT(go::tracer().event_count(), 0u);
+    EXPECT_EQ(hub.scheduler().total_slices(), 600u);
+    EXPECT_EQ(go::tracer().dropped(), 0u);
+    EXPECT_EQ(span_count("pump-slice"), 600u);
 
     std::ostringstream out;
     go::tracer().write_chrome_json(out);
@@ -539,18 +542,21 @@ TEST(Tracer, StartClearsAndStopFreezes) {
 }
 
 TEST(Tracer, DropsOldestWhenFull) {
-    go::tracer().set_capacity(8); // 1 slot per ring
+    go::tracer().set_capacity(800);
     go::tracer().start();
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0; i < 1000; ++i) {
         go::Span span("test", "spin-", std::to_string(i));
     }
     go::tracer().stop();
-    EXPECT_LE(go::tracer().event_count(), 8u);
-    EXPECT_GT(go::tracer().dropped(), 0u);
+    EXPECT_EQ(go::tracer().event_count(), 800u);
+    EXPECT_EQ(go::tracer().dropped(), 200u);
+    EXPECT_EQ(span_count("spin-199"), 0u);
+    EXPECT_EQ(span_count("spin-200"), 1u);
+    EXPECT_EQ(span_count("spin-999"), 1u);
     std::ostringstream out;
     go::tracer().write_chrome_json(out);
     EXPECT_TRUE(json_is_well_formed(out.str()));
-    go::tracer().set_capacity(1 << 18); // restore the default for later tests
+    go::tracer().set_capacity(go::Tracer::kDefaultCapacity); // for later tests
 }
 
 // ---- the profile verbs ------------------------------------------------------
@@ -577,6 +583,24 @@ TEST(TraceProfileVerb, StartStopDumpRoundTrip) {
     EXPECT_TRUE(json_is_well_formed(text.str()));
     EXPECT_NE(text.str().find("dispatch:run"), std::string::npos);
     std::remove(path.c_str());
+}
+
+// At its default bound the span ring keeps the newest spans, and
+// `trace profile stop` says how many older ones it dropped.
+TEST(TraceProfileVerb, StopReportsTheSpansTheRingDropped) {
+    auto scenario = gp::make_scenario("blinker");
+    ASSERT_NE(scenario, nullptr);
+    auto& ctl = scenario->controller();
+    go::tracer().set_capacity(go::Tracer::kDefaultCapacity);
+    ASSERT_TRUE(ctl.execute_line("trace profile start").ok());
+    for (std::size_t i = 0; i < go::Tracer::kDefaultCapacity + 3; ++i) {
+        go::Span span("test", "spin");
+    }
+    const gp::Response stop = ctl.execute_line("trace profile stop");
+    ASSERT_TRUE(stop.ok());
+    EXPECT_EQ(stop.body, (std::vector<std::string>{
+                             "trace profile stopped (262144 spans captured)",
+                             "(span ring dropped 3 oldest spans)"}));
 }
 
 // ---- zero transcript drift --------------------------------------------------

@@ -201,21 +201,6 @@ TEST(CheckpointStore, ByteBudgetEvictsOldestAndAccounts) {
     EXPECT_EQ(store.stats().count, 0u);
 }
 
-// ---- trace ring satellite ---------------------------------------------------
-
-TEST(TraceRecorder, EvictionRecordsTheLostWindow) {
-    gmdf::core::TraceRecorder trace;
-    trace.set_capacity(3);
-    for (int i = 1; i <= 5; ++i)
-        trace.record({gmdf::link::Cmd::Hello, 0, 0, 0.0f}, i * rt::kMs);
-    EXPECT_EQ(trace.dropped(), 2u);
-    EXPECT_EQ(trace.dropped_through(), 2 * rt::kMs);
-    EXPECT_EQ(trace.earliest_retained().value(), 3 * rt::kMs);
-    trace.truncate_after(4 * rt::kMs);
-    EXPECT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.dropped(), 2u) << "truncation is not eviction";
-}
-
 // ---- rewind -----------------------------------------------------------------
 
 // The acceptance criterion: rewind <t> then run re-produces the original

@@ -1,6 +1,6 @@
-// Scene comparison shared by the core and replay tests: two sessions'
-// views are equal when their ASCII and SVG renders match and every node
-// and edge carries the same highlight, intensity and sublabel.
+// Scene comparison for the replay tests: two sessions' views are equal
+// when their ASCII and SVG renders match and every node and edge carries
+// the same highlight, intensity and sublabel.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -69,8 +69,8 @@ int usage(std::ostream& out, int code) {
         << "                    reply above this many connections (default off)\n"
         << "  --watchdog-us <n> per-slice wall-clock pump deadline; a session\n"
         << "                    over it repeatedly is quarantined (default off)\n"
-        << "  --watchdog-strikes <n>  consecutive overruns before quarantine\n"
-        << "                    (default 3)\n"
+        << "  --watchdog-strikes <n>  consecutive overruns before quarantine;\n"
+        << "                    needs --watchdog-us (default 3)\n"
         << "  --trace-out <file>  record obs spans (dispatch, pump slices per\n"
         << "                    shard, checkpoints) for the whole run; written as\n"
         << "                    Chrome trace-event JSON (Perfetto) on exit\n"
@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
     int threads = 1;
     std::string trace_out;
     gmdf::hub::WatchdogConfig watchdog;
+    bool strikes_given = false;
     gmdf::net::ServerConfig config;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -112,6 +113,7 @@ int main(int argc, char** argv) {
             ok = parse_number(arg, argv[++i], 0, watchdog.slice_limit_us);
         } else if (arg == "--watchdog-strikes" && i + 1 < argc) {
             ok = parse_number(arg, argv[++i], 1, watchdog.max_strikes);
+            strikes_given = true;
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--threads" && i + 1 < argc) {
@@ -122,10 +124,14 @@ int main(int argc, char** argv) {
         }
         if (!ok) return usage(std::cerr, 2);
     }
+    if (strikes_given && !watchdog.enabled()) {
+        std::cerr << "gmdf_serve: --watchdog-strikes needs a --watchdog-us deadline\n";
+        return usage(std::cerr, 2);
+    }
 
     gmdf::hub::HubController hub;
     hub.scheduler().set_threads(threads);
-    if (watchdog.slice_limit_us > 0) hub.scheduler().set_watchdog(watchdog);
+    if (watchdog.enabled()) hub.scheduler().set_watchdog(watchdog);
     auto* seed = hub.open(model, model);
     if (seed == nullptr) {
         std::cerr << "gmdf_serve: no scenario '" << model << "'\n";
@@ -161,7 +167,10 @@ int main(int argc, char** argv) {
         } else {
             gmdf::obs::tracer().write_chrome_json(trace_file);
             std::cout << "gmdf_serve: wrote trace " << trace_out << " ("
-                      << gmdf::obs::tracer().event_count() << " spans)\n";
+                      << gmdf::obs::tracer().event_count() << " spans";
+            if (const auto dropped = gmdf::obs::tracer().dropped(); dropped > 0)
+                std::cout << ", " << dropped << " dropped";
+            std::cout << ")\n";
         }
     }
 

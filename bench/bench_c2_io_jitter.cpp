@@ -4,7 +4,6 @@
 // Table: measured output jitter (max - min output-latch offset from the
 // release instant) for deadline-latched vs. immediate outputs, swept over
 // interfering CPU load.
-#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
@@ -65,13 +64,11 @@ JitterResult run(rt::OutputMode mode, std::uint64_t noise_cycles) {
 
     const auto& stats = target.node(0).task_stats("ctl");
     JitterResult r;
-    if (!stats.output_offsets.empty()) {
-        auto lo = *std::min_element(stats.output_offsets.begin(), stats.output_offsets.end());
-        auto hi = *std::max_element(stats.output_offsets.begin(), stats.output_offsets.end());
-        double sum = 0;
-        for (auto o : stats.output_offsets) sum += static_cast<double>(o);
-        r.jitter_us = static_cast<double>(hi - lo) / 1000.0;
-        r.mean_offset_us = sum / static_cast<double>(stats.output_offsets.size()) / 1000.0;
+    const auto& offsets = stats.output_offsets;
+    if (offsets.count > 0) {
+        r.jitter_us = static_cast<double>(offsets.max - offsets.min) / 1000.0;
+        r.mean_offset_us = static_cast<double>(offsets.sum) /
+                           static_cast<double>(offsets.count) / 1000.0;
     }
     r.misses = stats.deadline_misses;
     return r;

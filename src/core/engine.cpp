@@ -375,7 +375,7 @@ void DebuggerEngine::load_state(rt::StateReader& r) {
         std::uint64_t sig = r.u64();
         signal_values_[sig] = r.f64();
     }
-    signal_slots_ = r.doubles();
+    r.doubles(signal_slots_);
     n = r.size();
     slot_updated_.assign(n, false);
     for (std::size_t i = 0; i < n; ++i) slot_updated_[i] = r.b();

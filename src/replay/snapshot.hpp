@@ -40,7 +40,7 @@ public:
 
 struct Snapshot {
     static constexpr std::uint32_t kMagic = 0x53444D47; ///< "GMDS" (LE)
-    static constexpr std::uint16_t kVersion = 1;
+    static constexpr std::uint16_t kVersion = 2;
 
     rt::SimTime time = 0;                ///< sim time at capture
     std::vector<std::uint8_t> bytes;     ///< versioned binary image

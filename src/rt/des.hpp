@@ -69,7 +69,7 @@ public:
     /// Dispatches events until the queue is empty.
     void run_all();
 
-    [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+    [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
     /// Pending one-shot (period == 0) events; a snapshot owner uses this
     /// to verify every one-shot in flight is re-creatable from its own
@@ -89,28 +89,40 @@ public:
     void load_state(StateReader& r);
 
 private:
-    struct Event {
+    /// Heap key: the (t, seq) dispatch order plus the slot that holds
+    /// the closure, so a sift step moves 24 bytes, never a closure.
+    struct Key {
         SimTime t;
         std::uint64_t seq;
+        std::uint32_t slot;
+    };
+    struct Later {
+        bool operator()(const Key& a, const Key& b) const {
+            return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+        }
+    };
+    /// One scheduled closure. A dispatched one-shot frees its slot and a
+    /// periodic event keeps its slot across re-arms; freed slots are
+    /// reused, so steady-state scheduling allocates nothing.
+    struct Slot {
         std::function<void()> fn;
         SimTime period = 0;     ///< > 0: re-armed after dispatch (every())
         std::uint64_t id = 0;   ///< stable across re-arms
     };
-    struct Later {
-        bool operator()(const Event& a, const Event& b) const {
-            return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-        }
-    };
 
-    void push(Event ev);
-    Event pop();
+    void push(SimTime t, std::uint64_t seq, std::function<void()> fn, SimTime period,
+              std::uint64_t id);
+    void push_key(Key k);
+    void free_slot(std::uint32_t slot);
 
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t next_id_ = 1;
     /// Min-heap (std::push_heap/pop_heap with Later) — a plain vector so
     /// save/load can iterate and rebuild it.
-    std::vector<Event> queue_;
+    std::vector<Key> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
 };
 
 } // namespace gmdf::rt

@@ -13,6 +13,7 @@
 // before anything reaches the protocol surface.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -23,44 +24,56 @@
 
 namespace gmdf::rt {
 
-/// Appends fixed-width little-endian fields to a byte buffer.
+// Fields are copied as host bytes, which is the image's little-endian
+// encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "StateWriter/StateReader copy fields as host bytes");
+
+/// Appends fixed-width little-endian fields to a byte buffer. A field
+/// (a whole array included) is one bounds check and one copy; the buffer
+/// grows geometrically ahead of what is written.
 class StateWriter {
 public:
-    void u8(std::uint8_t v) { buf_.push_back(v); }
+    void u8(std::uint8_t v) { put_le(v); }
     void u16(std::uint16_t v) { put_le(v); }
     void u32(std::uint32_t v) { put_le(v); }
     void u64(std::uint64_t v) { put_le(v); }
-    void i32(std::int32_t v) { put_le(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
+    void i32(std::int32_t v) { put_le(v); }
+    void i64(std::int64_t v) { put_le(v); }
     void b(bool v) { u8(v ? 1 : 0); }
-    void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+    void f32(float v) { put_le(v); }
+    void f64(double v) { put_le(v); }
     void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
 
-    void str(const std::string& s) {
-        size(s.size());
-        buf_.insert(buf_.end(), s.begin(), s.end());
-    }
-    void bytes(std::span<const std::uint8_t> s) {
-        size(s.size());
-        buf_.insert(buf_.end(), s.begin(), s.end());
-    }
-    void doubles(std::span<const double> s) {
-        size(s.size());
-        for (double v : s) f64(v);
-    }
+    void str(const std::string& s) { array(std::span<const char>(s)); }
+    void bytes(std::span<const std::uint8_t> s) { array(s); }
+    void doubles(std::span<const double> s) { array(s); }
 
-    [[nodiscard]] std::size_t size_bytes() const { return buf_.size(); }
-    [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-    [[nodiscard]] const std::vector<std::uint8_t>& buffer() const { return buf_; }
+    /// The finished image, with no spare capacity: a stored image holds
+    /// exactly its size in memory.
+    [[nodiscard]] std::vector<std::uint8_t> take() {
+        buf_.resize(len_);
+        buf_.shrink_to_fit();
+        len_ = 0;
+        return std::move(buf_);
+    }
 
 private:
-    template <class T> void put_le(T v) {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::uint8_t* grow(std::size_t n) {
+        if (n > buf_.size() - len_) buf_.resize(std::max({2 * buf_.size(), len_ + n, kMinBytes}));
+        std::uint8_t* p = buf_.data() + len_;
+        len_ += n;
+        return p;
     }
+    template <class T> void array(std::span<const T> s) {
+        size(s.size());
+        if (!s.empty()) std::memcpy(grow(s.size_bytes()), s.data(), s.size_bytes());
+    }
+    template <class T> void put_le(T v) { std::memcpy(grow(sizeof(T)), &v, sizeof(T)); }
 
-    std::vector<std::uint8_t> buf_;
+    static constexpr std::size_t kMinBytes = 1024; ///< first growth: skips tiny steps
+    std::vector<std::uint8_t> buf_; ///< [0, len_) written, the rest headroom
+    std::size_t len_ = 0;
 };
 
 /// Reads fields written by StateWriter, in the same order. Throws
@@ -69,15 +82,15 @@ class StateReader {
 public:
     explicit StateReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-    std::uint8_t u8() { return take(1)[0]; }
+    std::uint8_t u8() { return get_le<std::uint8_t>(); }
     std::uint16_t u16() { return get_le<std::uint16_t>(); }
     std::uint32_t u32() { return get_le<std::uint32_t>(); }
     std::uint64_t u64() { return get_le<std::uint64_t>(); }
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    std::int32_t i32() { return get_le<std::int32_t>(); }
+    std::int64_t i64() { return get_le<std::int64_t>(); }
     bool b() { return u8() != 0; }
-    float f32() { return std::bit_cast<float>(u32()); }
-    double f64() { return std::bit_cast<double>(u64()); }
+    float f32() { return get_le<float>(); }
+    double f64() { return get_le<double>(); }
     std::size_t size() { return static_cast<std::size_t>(u64()); }
 
     std::string str() {
@@ -85,17 +98,17 @@ public:
         auto s = take(n);
         return {reinterpret_cast<const char*>(s.data()), n};
     }
-    std::vector<std::uint8_t> bytes() {
+    /// Arrays refill `out`, reusing its storage.
+    void bytes(std::vector<std::uint8_t>& out) {
         std::size_t n = checked_count(size(), 1);
         auto s = take(n);
-        return {s.begin(), s.end()};
+        out.assign(s.begin(), s.end());
     }
-    std::vector<double> doubles() {
+    void doubles(std::vector<double>& out) {
         std::size_t n = checked_count(size(), 8);
-        std::vector<double> out;
-        out.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) out.push_back(f64());
-        return out;
+        auto s = take(8 * n);
+        out.resize(n);
+        if (n > 0) std::memcpy(out.data(), s.data(), s.size());
     }
 
     [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
@@ -116,10 +129,8 @@ private:
         return n;
     }
     template <class T> T get_le() {
-        auto s = take(sizeof(T));
-        T v = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v = static_cast<T>(v | (static_cast<T>(s[i]) << (8 * i)));
+        T v;
+        std::memcpy(&v, take(sizeof(T)).data(), sizeof(T));
         return v;
     }
 

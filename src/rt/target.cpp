@@ -1,11 +1,32 @@
 #include "rt/target.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "rt/symtab.hpp"
 
 namespace gmdf::rt {
+
+namespace {
+
+/// A cleared spare buffer, or an empty one when none is left.
+template <class T> std::vector<T> take_spare(std::vector<std::vector<T>>& spares) {
+    if (spares.empty()) return {};
+    std::vector<T> v = std::move(spares.back());
+    spares.pop_back();
+    return v;
+}
+
+/// Keeps `v`'s storage for a later op; a buffer that moved on to
+/// another op has none left to keep.
+template <class T> void keep_spare(std::vector<std::vector<T>>& spares, std::vector<T>& v) {
+    if (v.capacity() == 0) return;
+    v.clear();
+    spares.push_back(std::move(v));
+}
+
+} // namespace
 
 int SignalStore::add(const std::string& name, double init) {
     auto it = name_lower_bound(by_name_, name);
@@ -125,15 +146,20 @@ void Node::start_next_job() {
     cpu_busy_ = true;
 
     Task& task = *job.task;
-    // Each job owns its output buffer: a deferred deadline latch of job k
-    // must not be clobbered by job k+1 executing before it fires.
-    std::vector<double> job_out(task.cfg.output_signals.size(), 0.0);
+    Target& target = *target_;
+    // Each job owns its output buffer until its deadline latch fires: a
+    // deferred latch of job k must not be clobbered by job k+1 executing
+    // before it fires. The job's buffers are the target's spares.
+    std::vector<double> job_out = take_spare(target.spare_out_);
+    job_out.assign(task.cfg.output_signals.size(), 0.0);
     TaskContext ctx;
     ctx.in_ = task.in_latch;
     ctx.out_ = job_out;
     ctx.dt_ = static_cast<double>(task.cfg.period) / static_cast<double>(kSec);
-    ctx.uart_cycles_per_byte_ = target_->uart_.cycles_per_byte;
-    ctx.uart_cycles_per_frame_ = target_->uart_.cycles_per_frame;
+    ctx.debug_bytes_ = take_spare(target.spare_bytes_);
+    ctx.pokes_ = take_spare(target.spare_pokes_);
+    ctx.uart_cycles_per_byte_ = target.uart_.cycles_per_byte;
+    ctx.uart_cycles_per_frame_ = target.uart_.cycles_per_frame;
 
     std::uint64_t app = task.body->execute(ctx);
     app_cycles_ += app;
@@ -144,7 +170,7 @@ void Node::start_next_job() {
         std::ceil(static_cast<double>(total_cycles) / clock_hz_ * static_cast<double>(kSec)));
     busy_ns_ += static_cast<std::uint64_t>(duration);
 
-    SimTime completion = target_->sim_.now() + duration;
+    SimTime completion = target.sim_.now() + duration;
     // Completion applies memory pokes, emits debug bytes, and hands the
     // outputs to the latch policy. Scheduled as a typed pending op so a
     // checkpoint can serialize the in-flight job.
@@ -156,13 +182,12 @@ void Node::start_next_job() {
     op.out = std::move(job_out);
     op.pokes = std::move(ctx.pokes_);
     op.bytes = std::move(ctx.debug_bytes_);
-    target_->schedule_op(completion, std::move(op));
+    target.schedule_op(completion, std::move(op));
 }
 
-void Node::complete_job(std::size_t task_index, SimTime release,
-                        std::vector<double> out,
-                        std::vector<std::pair<std::uint32_t, std::uint32_t>> pokes,
-                        std::vector<std::uint8_t> bytes) {
+void Node::complete_job(std::size_t task_index, SimTime release, std::vector<double>& out,
+                        const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pokes,
+                        std::vector<std::uint8_t>& bytes) {
     for (auto [addr, value] : pokes) memory_.write_u32(addr, value);
     if (!bytes.empty()) {
         // Serialized UART wire: 10 bits per byte (8N1 framing).
@@ -171,13 +196,13 @@ void Node::complete_job(std::size_t task_index, SimTime release,
             static_cast<double>(bytes.size()) * 10.0 / target_->uart_.baud *
             static_cast<double>(kSec));
         uart_busy_until_ = start + wire_ns;
-        target_->deliver_debug(id_, std::move(bytes), uart_busy_until_);
+        target_->deliver_debug(id_, bytes, uart_busy_until_);
     }
-    finish_job(*tasks_[task_index], release, std::move(out));
+    finish_job(*tasks_[task_index], release, out);
     start_next_job();
 }
 
-void Node::finish_job(Task& task, SimTime release, std::vector<double> out) {
+void Node::finish_job(Task& task, SimTime release, std::vector<double>& out) {
     SimTime now = target_->sim_.now();
     ++task.stats.completions;
     task.stats.worst_response = std::max(task.stats.worst_response, now - release);
@@ -205,7 +230,7 @@ void Node::finish_job(Task& task, SimTime release, std::vector<double> out) {
 
 void Node::latch_outputs(Task& task, SimTime release, const std::vector<double>& out) {
     SimTime now = target_->sim_.now();
-    task.stats.output_offsets.push_back(now - release);
+    task.stats.output_offsets.add(now - release);
     for (std::size_t i = 0; i < task.cfg.output_signals.size(); ++i)
         publish_signal(task.cfg.output_signals[i], out[i]);
 }
@@ -236,17 +261,19 @@ void Node::save_state(StateWriter& w) const {
         w.u64(s.deadline_misses);
         w.u64(s.suppressed);
         w.i64(s.worst_response);
-        w.size(s.output_offsets.size());
-        for (SimTime o : s.output_offsets) w.i64(o);
-        std::vector<double> body;
-        t->body->save_state(body);
-        w.doubles(body);
+        w.u64(s.output_offsets.count);
+        w.i64(s.output_offsets.min);
+        w.i64(s.output_offsets.max);
+        w.i64(s.output_offsets.sum);
+        body_state_.clear();
+        t->body->save_state(body_state_);
+        w.doubles(body_state_);
     }
 }
 
 void Node::load_state(StateReader& r) {
     memory_.load_state(r);
-    local_signals_ = r.doubles();
+    r.doubles(local_signals_);
     cpu_busy_ = r.b();
     job_seq_ = r.u64();
     app_cycles_ = r.u64();
@@ -267,7 +294,7 @@ void Node::load_state(StateReader& r) {
     if (n_tasks != tasks_.size())
         throw std::runtime_error("snapshot task count does not match this node");
     for (auto& t : tasks_) {
-        t->in_latch = r.doubles();
+        r.doubles(t->in_latch);
         t->job_pending = r.b();
         TaskStats& s = t->stats;
         s.releases = r.u64();
@@ -276,13 +303,13 @@ void Node::load_state(StateReader& r) {
         s.deadline_misses = r.u64();
         s.suppressed = r.u64();
         s.worst_response = r.i64();
-        std::size_t n_off = r.size();
-        s.output_offsets.clear();
-        s.output_offsets.reserve(n_off);
-        for (std::size_t i = 0; i < n_off; ++i) s.output_offsets.push_back(r.i64());
-        std::vector<double> body = r.doubles();
-        std::size_t used = t->body->load_state(body);
-        if (used != body.size())
+        s.output_offsets.count = r.u64();
+        s.output_offsets.min = r.i64();
+        s.output_offsets.max = r.i64();
+        s.output_offsets.sum = r.i64();
+        r.doubles(body_state_);
+        std::size_t used = t->body->load_state(body_state_);
+        if (used != body_state_.size())
             throw std::runtime_error("task body consumed a different state size");
     }
 }
@@ -328,21 +355,29 @@ std::uint64_t Target::total_instr_cycles() const {
 void Target::save_state(StateWriter& w) const {
     if (!started_)
         throw std::runtime_error("cannot snapshot a target before start()");
-    if (sim_.pending_one_shot() != ops_.size())
+    // Live ops in id order: slots are reused, so the table's order is not
+    // the order the ops were scheduled in.
+    std::vector<const OpSlot*> live;
+    live.reserve(ops_.size());
+    for (const OpSlot& s : ops_)
+        if (s.live) live.push_back(&s);
+    if (sim_.pending_one_shot() != live.size())
         throw std::runtime_error(
             "one-shot simulator events pending outside the op registry "
             "(raw closures cannot be restored)");
+    std::sort(live.begin(), live.end(),
+              [](const OpSlot* a, const OpSlot* b) { return a->id < b->id; });
     sim_.save_state(w);
     w.b(paused_);
     w.b(single_step_);
     w.str(step_filter_);
     w.u64(next_op_);
-    w.size(ops_.size());
-    for (const auto& [id, rec] : ops_) {
-        w.u64(id);
-        w.i64(rec.t);
-        w.u64(rec.seq);
-        const PendingOp& op = rec.op;
+    w.size(live.size());
+    for (const OpSlot* s : live) {
+        w.u64(s->id);
+        w.i64(s->t);
+        w.u64(s->seq);
+        const PendingOp& op = s->op;
         w.u8(static_cast<std::uint8_t>(op.kind));
         w.i32(op.node);
         w.size(op.task);
@@ -368,6 +403,7 @@ void Target::load_state(StateReader& r) {
     step_filter_ = r.str();
     next_op_ = r.u64();
     ops_.clear();
+    free_ops_.clear();
     std::size_t n_ops = r.size();
     for (std::size_t i = 0; i < n_ops; ++i) {
         std::uint64_t id = r.u64();
@@ -380,16 +416,17 @@ void Target::load_state(StateReader& r) {
         op.release = r.i64();
         op.sig = r.i32();
         op.value = r.f64();
-        op.out = r.doubles();
+        op.out = take_spare(spare_out_);
+        r.doubles(op.out);
+        op.pokes = take_spare(spare_pokes_);
         std::size_t n_pokes = r.size();
-        op.pokes.clear();
-        op.pokes.reserve(n_pokes);
         for (std::size_t p = 0; p < n_pokes; ++p) {
             std::uint32_t addr = r.u32();
             std::uint32_t value = r.u32();
             op.pokes.emplace_back(addr, value);
         }
-        op.bytes = r.bytes();
+        op.bytes = take_spare(spare_bytes_);
+        r.bytes(op.bytes);
         schedule_op_restored(t, seq, id, std::move(op));
     }
     std::size_t n_nodes = r.size();
@@ -410,7 +447,7 @@ void Target::broadcast(int from_node, int sig_index, double value) {
     }
 }
 
-void Target::deliver_debug(int node_id, std::vector<std::uint8_t> bytes, SimTime at) {
+void Target::deliver_debug(int node_id, std::vector<std::uint8_t>& bytes, SimTime at) {
     if (!debug_sink_) return;
     PendingOp op;
     op.kind = PendingOp::Kind::DebugDeliver;
@@ -430,30 +467,55 @@ void Target::schedule_publish(SimTime at, int node, int sig_index, double value)
 
 void Target::schedule_op(SimTime t, PendingOp op) {
     std::uint64_t id = next_op_++;
-    Simulator::ScheduledEvent ev = sim_.at(t, [this, id] { run_op(id); });
-    ops_.emplace(id, PendingOpRec{std::move(op), t, ev.seq});
+    std::uint32_t slot = next_op_slot();
+    Simulator::ScheduledEvent ev = sim_.at(t, [this, slot] { run_op(slot); });
+    fill_op_slot(slot, std::move(op), id, t, ev.seq);
 }
 
 void Target::schedule_op_restored(SimTime t, std::uint64_t seq, std::uint64_t id,
                                   PendingOp op) {
-    sim_.schedule_restored(t, seq, [this, id] { run_op(id); });
-    ops_.emplace(id, PendingOpRec{std::move(op), t, seq});
+    std::uint32_t slot = next_op_slot();
+    sim_.schedule_restored(t, seq, [this, slot] { run_op(slot); });
+    fill_op_slot(slot, std::move(op), id, t, seq);
 }
 
-void Target::run_op(std::uint64_t id) {
-    auto it = ops_.find(id);
-    if (it == ops_.end()) return; // dropped by a restore between schedule and fire
-    PendingOp op = std::move(it->second.op);
-    ops_.erase(it);
-    dispatch_op(std::move(op));
+std::uint32_t Target::next_op_slot() const {
+    return free_ops_.empty() ? static_cast<std::uint32_t>(ops_.size()) : free_ops_.back();
 }
 
-void Target::dispatch_op(PendingOp op) {
+void Target::fill_op_slot(std::uint32_t slot, PendingOp&& op, std::uint64_t id, SimTime t,
+                          std::uint64_t seq) {
+    if (slot == ops_.size())
+        ops_.emplace_back();
+    else
+        free_ops_.pop_back();
+    OpSlot& s = ops_[slot];
+    s.op = std::move(op);
+    s.id = id;
+    s.t = t;
+    s.seq = seq;
+    s.live = true;
+}
+
+void Target::run_op(std::uint32_t slot) {
+    PendingOp op = std::move(ops_[slot].op);
+    ops_[slot].live = false;
+    free_ops_.push_back(slot);
+    dispatch_op(op);
+    give_back(op);
+}
+
+void Target::give_back(PendingOp& op) {
+    keep_spare(spare_out_, op.out);
+    keep_spare(spare_pokes_, op.pokes);
+    keep_spare(spare_bytes_, op.bytes);
+}
+
+void Target::dispatch_op(PendingOp& op) {
     switch (op.kind) {
     case PendingOp::Kind::JobComplete:
-        nodes_[static_cast<std::size_t>(op.node)]->complete_job(
-            op.task, op.release, std::move(op.out), std::move(op.pokes),
-            std::move(op.bytes));
+        nodes_[static_cast<std::size_t>(op.node)]->complete_job(op.task, op.release, op.out,
+                                                                op.pokes, op.bytes);
         break;
     case PendingOp::Kind::OutputLatch: {
         Node& n = *nodes_[static_cast<std::size_t>(op.node)];

@@ -13,8 +13,8 @@
 //  - passive: the host reads the node MemoryMap via JTAG with no CPU cost.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -134,9 +134,23 @@ struct TaskStats {
     std::uint64_t deadline_misses = 0;
     std::uint64_t suppressed = 0;       ///< releases skipped while target paused
     SimTime worst_response = 0;
-    /// Output-latch instants relative to release, one per completion
-    /// (the jitter study reads these).
-    std::vector<SimTime> output_offsets;
+    /// Output-latch instants relative to release, summarized over every
+    /// completion (the jitter study reads these). Fixed size, so neither
+    /// the stats nor a snapshot of them grow with simulated time.
+    struct Offsets {
+        std::uint64_t count = 0;
+        SimTime min = 0;
+        SimTime max = 0;
+        SimTime sum = 0;
+
+        void add(SimTime offset) {
+            min = count == 0 ? offset : std::min(min, offset);
+            max = count == 0 ? offset : std::max(max, offset);
+            sum += offset;
+            ++count;
+        }
+    };
+    Offsets output_offsets;
 };
 
 /// Debug UART cost/wire model for the active command interface.
@@ -204,10 +218,13 @@ private:
     void start_tasks();
     void on_release(Task& task);
     void start_next_job();
-    void complete_job(std::size_t task_index, SimTime release, std::vector<double> out,
-                      std::vector<std::pair<std::uint32_t, std::uint32_t>> pokes,
-                      std::vector<std::uint8_t> bytes);
-    void finish_job(Task& task, SimTime release, std::vector<double> out);
+    /// The job buffers are the finishing op's: what moves on to a later
+    /// op (debug bytes to the UART delivery, outputs to a deferred
+    /// latch) is moved out, the rest goes back to the target's spares.
+    void complete_job(std::size_t task_index, SimTime release, std::vector<double>& out,
+                      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pokes,
+                      std::vector<std::uint8_t>& bytes);
+    void finish_job(Task& task, SimTime release, std::vector<double>& out);
     void latch_outputs(Task& task, SimTime release, const std::vector<double>& out);
     void set_local_signal(int index, double value);
     void save_state(StateWriter& w) const;
@@ -226,13 +243,15 @@ private:
         SimTime release;
         std::uint64_t seq;
     };
-    std::deque<ReadyJob> ready_;
+    std::vector<ReadyJob> ready_;
     bool cpu_busy_ = false;
     std::uint64_t job_seq_ = 0;
     std::uint64_t app_cycles_ = 0;
     std::uint64_t instr_cycles_ = 0;
     std::uint64_t busy_ns_ = 0;
     SimTime uart_busy_until_ = 0;
+    /// Reused by save_state/load_state for each task body's state.
+    mutable std::vector<double> body_state_;
 };
 
 /// The whole simulated platform: simulator + nodes + broadcast network.
@@ -345,20 +364,31 @@ private:
         std::vector<std::pair<std::uint32_t, std::uint32_t>> pokes;
         std::vector<std::uint8_t> bytes;
     };
-    struct PendingOpRec {
+    /// One slot of the pending-op table; the simulator event that runs
+    /// the op carries the slot. Freed slots are reused.
+    struct OpSlot {
         PendingOp op;
+        std::uint64_t id = 0;   ///< registry id: snapshots list ops by it
         SimTime t = 0;
         std::uint64_t seq = 0;
+        bool live = false;
     };
+    /// Cleared buffers of finished ops, reused by the next job and by a
+    /// restore, so a job in steady state allocates nothing.
+    template <class T> using Spares = std::vector<std::vector<T>>;
 
     void schedule_op(SimTime t, PendingOp op);
     void schedule_op_restored(SimTime t, std::uint64_t seq, std::uint64_t id,
                               PendingOp op);
-    void run_op(std::uint64_t id);
-    void dispatch_op(PendingOp op);
+    [[nodiscard]] std::uint32_t next_op_slot() const;
+    void fill_op_slot(std::uint32_t slot, PendingOp&& op, std::uint64_t id, SimTime t,
+                      std::uint64_t seq);
+    void run_op(std::uint32_t slot);
+    void dispatch_op(PendingOp& op);
+    void give_back(PendingOp& op);
 
     void broadcast(int from_node, int sig_index, double value);
-    void deliver_debug(int node_id, std::vector<std::uint8_t> bytes, SimTime at);
+    void deliver_debug(int node_id, std::vector<std::uint8_t>& bytes, SimTime at);
 
     Simulator sim_;
     SignalStore signals_;
@@ -373,8 +403,12 @@ private:
     bool paused_ = false;
     bool single_step_ = false;
     std::string step_filter_;
-    std::map<std::uint64_t, PendingOpRec> ops_; ///< in-flight one-shot work
+    std::vector<OpSlot> ops_; ///< in-flight one-shot work
+    std::vector<std::uint32_t> free_ops_;
     std::uint64_t next_op_ = 1;
+    Spares<double> spare_out_;
+    Spares<std::pair<std::uint32_t, std::uint32_t>> spare_pokes_;
+    Spares<std::uint8_t> spare_bytes_;
 };
 
 } // namespace gmdf::rt

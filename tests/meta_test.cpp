@@ -2,10 +2,14 @@
 // validation, and serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "meta/metamodel.hpp"
 #include "meta/model.hpp"
 #include "meta/serialize.hpp"
 #include "meta/validate.hpp"
+#include "proto/scenarios.hpp"
 
 namespace gm = gmdf::meta;
 
@@ -379,6 +383,29 @@ TEST(Serialize, EmptyModel) {
     gm::Model m(f.mm);
     gm::Model m2 = gm::read_model(f.mm, gm::write_model(m));
     EXPECT_EQ(m2.size(), 0u);
+}
+
+// The write_model text of real COMDES designs: the turntable, campaign
+// model 7, and model 7's clone after a wrong-transition-target fault is
+// injected into it (what a campaign's faulted twin generates code from).
+// Pins the object order, the feature order and every value's text.
+TEST(Serialize, ComdesDesignsMatchGolden) {
+    auto turntable = gmdf::proto::make_scenario("turntable");
+    auto gen = gmdf::proto::make_scenario("gen:7:wrong-transition-target");
+    ASSERT_NE(turntable, nullptr);
+    ASSERT_NE(gen, nullptr);
+    ASSERT_NE(gen->mutated, nullptr);
+    std::string text = "# turntable\n" + gm::write_model(turntable->sys.model()) +
+                       "# gen:7\n" + gm::write_model(gen->sys.model()) +
+                       "# gen:7 after inject_fault(wrong-transition-target, seed 23)\n" +
+                       gm::write_model(*gen->mutated);
+
+    std::ifstream golden_file(std::string(GMDF_SOURCE_DIR) +
+                              "/tests/golden/model_format.txt");
+    ASSERT_TRUE(golden_file) << "missing tests/golden/model_format.txt";
+    std::ostringstream golden;
+    golden << golden_file.rdbuf();
+    EXPECT_EQ(text, golden.str());
 }
 
 // Property: serialization round-trips for machines of any size.

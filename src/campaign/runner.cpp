@@ -198,7 +198,8 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
             if (pair.faulted == nullptr) return; // skipped
 
             // Baseline checkpoint at t=0 so bisect's search window covers
-            // the whole trace, then cadence captures during the pump.
+            // the whole trace, then cadence captures during the pump,
+            // which bisect's probes restore as anchors.
             pair.faulted->timeline->set_auto_period(cfg.checkpoint_every);
             pair.faulted->timeline->capture_now();
         });

@@ -1,5 +1,6 @@
 #include "codegen/cemit.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>

@@ -1,5 +1,6 @@
 #include "comdes/validate.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 

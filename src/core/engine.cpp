@@ -160,14 +160,14 @@ void DebuggerEngine::check_consistency(const link::Command& cmd, rt::SimTime t) 
             return;
         }
         auto pend = pending_transition_.find(cmd.a);
-        if (pend != pending_transition_.end()) {
+        if (pend != pending_transition_.end() && pend->second != 0) {
             const MObject* tr = design_->get(ObjectId{pend->second});
             if (tr != nullptr && tr->ref("to").raw != cmd.b)
                 diverge(cmd, t,
                         "transition #" + std::to_string(pend->second) +
                             " should enter state #" + std::to_string(tr->ref("to").raw) +
                             " but the target entered '" + state->name() + "'");
-            pending_transition_.erase(pend);
+            pend->second = 0; // consumed; the entry stays for the next one
             return;
         }
         auto cur = current_state_.find(cmd.a);
@@ -324,8 +324,11 @@ void DebuggerEngine::save_state(rt::StateWriter& w) const {
         w.u64(sm);
         w.u64(state);
     }
-    w.size(pending_transition_.size());
+    w.size(static_cast<std::size_t>(std::count_if(
+        pending_transition_.begin(), pending_transition_.end(),
+        [](const auto& entry) { return entry.second != 0; })));
     for (auto [sm, tr] : pending_transition_) {
+        if (tr == 0) continue;
         w.u64(sm);
         w.u32(tr);
     }

@@ -166,7 +166,9 @@ private:
     int next_break_ = 1;
 
     std::map<std::uint64_t, std::uint64_t> current_state_;   // sm -> state
-    std::map<std::uint64_t, std::uint32_t> pending_transition_; // sm -> transition
+    /// sm -> the TRANSITION awaiting its STATE_ENTER; 0 once consumed
+    /// (entries stay, so the steady state inserts nothing).
+    std::map<std::uint64_t, std::uint32_t> pending_transition_;
     /// Values for signal ids with no pre-indexed slot (generic models).
     std::map<std::uint64_t, double> signal_values_;
     /// Dense predicate slot table: slot i = i-th design-model signal,

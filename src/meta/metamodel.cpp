@@ -11,30 +11,37 @@ std::optional<std::size_t> MetaEnum::index_of(std::string_view literal) const {
     return std::nullopt;
 }
 
-std::vector<const MetaAttribute*> MetaClass::all_attributes() const {
-    std::vector<const MetaAttribute*> out;
-    if (super_) out = super_->all_attributes();
-    for (const auto& a : attrs_) out.push_back(&a);
-    return out;
+void MetaClass::flatten() {
+    all_attrs_.clear();
+    all_refs_.clear();
+    if (super_ != nullptr) {
+        all_attrs_ = super_->all_attrs_;
+        all_refs_ = super_->all_refs_;
+    }
+    for (const MetaAttribute& a : attrs_) all_attrs_.push_back(&a);
+    for (const MetaReference& r : refs_) all_refs_.push_back(&r);
 }
 
-std::vector<const MetaReference*> MetaClass::all_references() const {
-    std::vector<const MetaReference*> out;
-    if (super_) out = super_->all_references();
-    for (const auto& r : refs_) out.push_back(&r);
-    return out;
+std::size_t MetaClass::attribute_slot(std::string_view name) const {
+    for (std::size_t i = 0; i < all_attrs_.size(); ++i)
+        if (all_attrs_[i]->name == name) return i;
+    return kNoSlot;
+}
+
+std::size_t MetaClass::reference_slot(std::string_view name) const {
+    for (std::size_t i = 0; i < all_refs_.size(); ++i)
+        if (all_refs_[i]->name == name) return i;
+    return kNoSlot;
 }
 
 const MetaAttribute* MetaClass::find_attribute(std::string_view name) const {
-    for (const auto& a : attrs_)
-        if (a.name == name) return &a;
-    return super_ ? super_->find_attribute(name) : nullptr;
+    std::size_t slot = attribute_slot(name);
+    return slot == kNoSlot ? nullptr : all_attrs_[slot];
 }
 
 const MetaReference* MetaClass::find_reference(std::string_view name) const {
-    for (const auto& r : refs_)
-        if (r.name == name) return &r;
-    return super_ ? super_->find_reference(name) : nullptr;
+    std::size_t slot = reference_slot(name);
+    return slot == kNoSlot ? nullptr : all_refs_[slot];
 }
 
 bool MetaClass::is_subtype_of(const MetaClass& other) const {
@@ -60,22 +67,36 @@ MetaClass& Metamodel::add_class(std::string name, bool is_abstract, const MetaCl
     return *classes_.back();
 }
 
+void Metamodel::check_new_feature(const MetaClass& cls, const std::string& name) const {
+    for (const auto& c : classes_) {
+        if (!c->is_subtype_of(cls)) continue;
+        if (c->find_attribute(name) != nullptr || c->find_reference(name) != nullptr)
+            throw std::invalid_argument("duplicate feature '" + name + "' on class " +
+                                        c->name());
+    }
+}
+
+void Metamodel::refresh_features(const MetaClass& cls) {
+    // classes_ is supers-first, so each super is refreshed before the
+    // classes that copy its lists.
+    for (auto& c : classes_)
+        if (c->is_subtype_of(cls)) c->flatten();
+}
+
 void Metamodel::add_attribute(MetaClass& cls, MetaAttribute attr) {
-    if (cls.find_attribute(attr.name) != nullptr || cls.find_reference(attr.name) != nullptr)
-        throw std::invalid_argument("duplicate feature '" + attr.name + "' on class " +
-                                    cls.name());
+    check_new_feature(cls, attr.name);
     if (attr.type == AttrType::Enum && attr.enum_type == nullptr)
         throw std::invalid_argument("enum attribute '" + attr.name + "' lacks enum type");
     cls.attrs_.push_back(std::move(attr));
+    refresh_features(cls);
 }
 
 void Metamodel::add_reference(MetaClass& cls, MetaReference ref) {
-    if (cls.find_attribute(ref.name) != nullptr || cls.find_reference(ref.name) != nullptr)
-        throw std::invalid_argument("duplicate feature '" + ref.name + "' on class " +
-                                    cls.name());
+    check_new_feature(cls, ref.name);
     if (ref.target == nullptr)
         throw std::invalid_argument("reference '" + ref.name + "' lacks target class");
     cls.refs_.push_back(std::move(ref));
+    refresh_features(cls);
 }
 
 const MetaClass* Metamodel::find_class(std::string_view name) const {

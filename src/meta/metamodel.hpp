@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -69,18 +70,30 @@ struct MetaReference {
 };
 
 /// A metaclass: named, possibly abstract, with single inheritance.
+///
+/// Each class keeps its flattened feature lists (supers first, each
+/// level in declaration order); the Metamodel refreshes them whenever a
+/// feature is added to the class or to one of its supers. A feature's
+/// index in its list is its slot: the position of its value in every
+/// MObject of the class.
 class MetaClass {
 public:
     MetaClass(std::string name, bool is_abstract, const MetaClass* super)
-        : name_(std::move(name)), abstract_(is_abstract), super_(super) {}
+        : name_(std::move(name)), abstract_(is_abstract), super_(super) {
+        flatten();
+    }
 
     [[nodiscard]] const std::string& name() const { return name_; }
     [[nodiscard]] bool is_abstract() const { return abstract_; }
     [[nodiscard]] const MetaClass* super() const { return super_; }
 
     /// Declarations including inherited ones, supers first.
-    [[nodiscard]] std::vector<const MetaAttribute*> all_attributes() const;
-    [[nodiscard]] std::vector<const MetaReference*> all_references() const;
+    [[nodiscard]] const std::vector<const MetaAttribute*>& all_attributes() const {
+        return all_attrs_;
+    }
+    [[nodiscard]] const std::vector<const MetaReference*>& all_references() const {
+        return all_refs_;
+    }
 
     /// Lookup through the inheritance chain; nullptr when absent.
     [[nodiscard]] const MetaAttribute* find_attribute(std::string_view name) const;
@@ -91,19 +104,34 @@ public:
 
 private:
     friend class Metamodel;
+    friend class MObject;
+
+    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+    /// Rebuilds the flattened lists from the super's and the own ones.
+    void flatten();
+
+    /// Slot of the feature named `name`; kNoSlot when absent.
+    [[nodiscard]] std::size_t attribute_slot(std::string_view name) const;
+    [[nodiscard]] std::size_t reference_slot(std::string_view name) const;
 
     std::string name_;
     bool abstract_ = false;
     const MetaClass* super_ = nullptr;
-    std::vector<MetaAttribute> attrs_;
-    std::vector<MetaReference> refs_;
+    /// Own declarations; a deque so the flattened lists' pointers survive
+    /// later additions.
+    std::deque<MetaAttribute> attrs_;
+    std::deque<MetaReference> refs_;
+    std::vector<const MetaAttribute*> all_attrs_;
+    std::vector<const MetaReference*> all_refs_;
 };
 
 /// A metamodel: a named package of classes and enums.
 ///
 /// Construction is incremental via add_class/add_enum and the attribute /
 /// reference builder calls; once models are instantiated, the metamodel
-/// must not change (definitions are referenced by pointer).
+/// must not change (definitions are referenced by pointer, and objects
+/// hold their values by slot).
 class Metamodel {
 public:
     explicit Metamodel(std::string name) : name_(std::move(name)) {}
@@ -121,8 +149,9 @@ public:
     MetaClass& add_class(std::string name, bool is_abstract = false,
                          const MetaClass* super = nullptr);
 
-    /// Adds an attribute declaration to `cls`; throws on duplicate name
-    /// (including names inherited from supers).
+    /// Adds an attribute declaration to `cls`; throws on a duplicate
+    /// name (including names inherited from supers, and names a subclass
+    /// of `cls` already declares).
     void add_attribute(MetaClass& cls, MetaAttribute attr);
 
     /// Adds a reference declaration to `cls`; throws on duplicate name.
@@ -138,7 +167,13 @@ public:
     [[nodiscard]] bool owns(const MetaClass& cls) const;
 
 private:
+    /// Throws when `name` is already a feature of `cls` or of a subclass.
+    void check_new_feature(const MetaClass& cls, const std::string& name) const;
+    /// Re-flattens the feature lists of `cls` and of every subclass.
+    void refresh_features(const MetaClass& cls);
+
     std::string name_;
+    /// Supers first: a class's super is always added before it.
     std::vector<std::unique_ptr<MetaClass>> classes_;
     std::vector<std::unique_ptr<MetaEnum>> enums_;
 };

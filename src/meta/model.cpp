@@ -1,15 +1,11 @@
 #include "meta/model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gmdf::meta {
 
 namespace {
-
-const Value& null_value() {
-    static const Value v;
-    return v;
-}
 
 bool kind_matches(AttrType t, const Value& v) {
     if (v.is_null()) return true; // unset; validate() handles required attrs
@@ -28,40 +24,42 @@ bool kind_matches(AttrType t, const Value& v) {
 
 } // namespace
 
-const Value& MObject::attr(std::string_view name) const {
-    if (cls_->find_attribute(name) == nullptr)
+std::size_t MObject::attribute_slot(std::string_view name) const {
+    std::size_t slot = cls_->attribute_slot(name);
+    if (slot == MetaClass::kNoSlot)
         throw std::invalid_argument("class " + cls_->name() + " has no attribute '" +
                                     std::string(name) + "'");
-    auto it = attrs_.find(name);
-    return it == attrs_.end() ? null_value() : it->second;
+    return slot;
+}
+
+std::size_t MObject::reference_slot(std::string_view name) const {
+    std::size_t slot = cls_->reference_slot(name);
+    if (slot == MetaClass::kNoSlot)
+        throw std::invalid_argument("class " + cls_->name() + " has no reference '" +
+                                    std::string(name) + "'");
+    return slot;
+}
+
+const Value& MObject::attr(std::string_view name) const {
+    return attrs_[attribute_slot(name)];
 }
 
 void MObject::set_attr(std::string_view name, Value v) {
-    const MetaAttribute* a = cls_->find_attribute(name);
-    if (a == nullptr)
-        throw std::invalid_argument("class " + cls_->name() + " has no attribute '" +
-                                    std::string(name) + "'");
+    set_slot(attribute_slot(name), std::move(v));
+}
+
+void MObject::set_slot(std::size_t slot, Value v) {
+    const MetaAttribute* a = cls_->all_attributes()[slot];
     if (!kind_matches(a->type, v))
         throw std::invalid_argument("attribute '" + a->name + "' on " + cls_->name() +
                                     ": value kind mismatch (" + v.to_string() + ")");
     // Normalize Int into Real slots so readers can rely on as_real().
     if (a->type == AttrType::Real && v.is_int()) v = Value(static_cast<double>(v.as_int()));
-    attrs_[std::string(name)] = std::move(v);
-}
-
-const MetaReference& MObject::checked_reference(std::string_view name) const {
-    const MetaReference* r = cls_->find_reference(name);
-    if (r == nullptr)
-        throw std::invalid_argument("class " + cls_->name() + " has no reference '" +
-                                    std::string(name) + "'");
-    return *r;
+    attrs_[slot] = std::move(v);
 }
 
 std::span<const ObjectId> MObject::refs(std::string_view name) const {
-    checked_reference(name);
-    auto it = refs_.find(name);
-    if (it == refs_.end()) return {};
-    return it->second;
+    return refs_[reference_slot(name)];
 }
 
 ObjectId MObject::ref(std::string_view name) const {
@@ -70,38 +68,29 @@ ObjectId MObject::ref(std::string_view name) const {
 }
 
 void MObject::add_ref(std::string_view name, ObjectId target) {
-    checked_reference(name);
-    refs_[std::string(name)].push_back(target);
+    refs_[reference_slot(name)].push_back(target);
 }
 
 void MObject::set_ref(std::string_view name, ObjectId target) {
-    checked_reference(name);
-    refs_[std::string(name)] = {target};
+    refs_[reference_slot(name)] = {target};
 }
 
 std::size_t MObject::remove_ref(std::string_view name, ObjectId target) {
-    checked_reference(name);
-    auto it = refs_.find(name);
-    if (it == refs_.end()) return 0;
-    auto& vec = it->second;
-    std::size_t before = vec.size();
-    std::erase(vec, target);
-    return before - vec.size();
+    return std::erase(refs_[reference_slot(name)], target);
 }
 
 std::string MObject::name() const {
-    if (cls_->find_attribute("name") == nullptr) return {};
-    const Value& v = attr("name");
+    std::size_t slot = cls_->attribute_slot("name");
+    if (slot == MetaClass::kNoSlot) return {};
+    const Value& v = attrs_[slot];
     return v.is_string() ? v.as_string() : std::string{};
 }
 
 Model Model::clone() const {
     Model out(*mm_);
-    out.next_id_ = next_id_;
-    for (const auto& [raw, obj] : objects_) {
-        auto copy = std::unique_ptr<MObject>(new MObject(*obj));
-        out.objects_.emplace(raw, std::move(copy));
-    }
+    out.objects_.reserve(objects_.size());
+    for (const auto& obj : objects_)
+        out.objects_.push_back(obj ? std::unique_ptr<MObject>(new MObject(*obj)) : nullptr);
     return out;
 }
 
@@ -111,13 +100,15 @@ MObject& Model::create(const MetaClass& cls) {
     if (!mm_->owns(cls))
         throw std::invalid_argument("class " + cls.name() + " not owned by metamodel " +
                                     mm_->name());
-    ObjectId id{next_id_++};
-    auto obj = std::unique_ptr<MObject>(new MObject(id, cls));
-    for (const MetaAttribute* a : cls.all_attributes())
-        if (!a->default_value.is_null()) obj->set_attr(a->name, a->default_value);
-    MObject& ref = *obj;
-    objects_.emplace(id.raw, std::move(obj));
-    return ref;
+    if (objects_.empty()) objects_.emplace_back(); // the null id
+    auto obj = std::unique_ptr<MObject>(new MObject(ObjectId{objects_.size()}, cls));
+    const auto& attrs = cls.all_attributes();
+    obj->attrs_.resize(attrs.size());
+    obj->refs_.resize(cls.all_references().size());
+    for (std::size_t slot = 0; slot < attrs.size(); ++slot)
+        if (!attrs[slot]->default_value.is_null())
+            obj->set_slot(slot, attrs[slot]->default_value);
+    return *objects_.emplace_back(std::move(obj));
 }
 
 MObject& Model::create(std::string_view class_name) {
@@ -128,13 +119,11 @@ MObject& Model::create(std::string_view class_name) {
 }
 
 MObject* Model::get(ObjectId id) {
-    auto it = objects_.find(id.raw);
-    return it == objects_.end() ? nullptr : it->second.get();
+    return id.raw < objects_.size() ? objects_[id.raw].get() : nullptr;
 }
 
 const MObject* Model::get(ObjectId id) const {
-    auto it = objects_.find(id.raw);
-    return it == objects_.end() ? nullptr : it->second.get();
+    return id.raw < objects_.size() ? objects_[id.raw].get() : nullptr;
 }
 
 MObject& Model::at(ObjectId id) {
@@ -149,47 +138,60 @@ const MObject& Model::at(ObjectId id) const {
     return *o;
 }
 
-bool Model::destroy(ObjectId id) { return objects_.erase(id.raw) > 0; }
+bool Model::destroy(ObjectId id) {
+    if (get(id) == nullptr) return false;
+    objects_[id.raw].reset();
+    return true;
+}
+
+std::size_t Model::size() const {
+    return static_cast<std::size_t>(
+        std::count_if(objects_.begin(), objects_.end(), [](const auto& o) { return o != nullptr; }));
+}
 
 std::vector<ObjectId> Model::ids() const {
     std::vector<ObjectId> out;
     out.reserve(objects_.size());
-    for (const auto& [raw, _] : objects_) out.push_back(ObjectId{raw});
+    for (const auto& obj : objects_)
+        if (obj) out.push_back(obj->id());
     return out;
 }
 
 std::vector<const MObject*> Model::all_of(const MetaClass& cls) const {
     std::vector<const MObject*> out;
-    for (const auto& [_, obj] : objects_)
-        if (obj->meta_class().is_subtype_of(cls)) out.push_back(obj.get());
+    for (const auto& obj : objects_)
+        if (obj && obj->meta_class().is_subtype_of(cls)) out.push_back(obj.get());
     return out;
 }
 
 std::vector<MObject*> Model::all_of(const MetaClass& cls) {
     std::vector<MObject*> out;
-    for (auto& [_, obj] : objects_)
-        if (obj->meta_class().is_subtype_of(cls)) out.push_back(obj.get());
+    for (auto& obj : objects_)
+        if (obj && obj->meta_class().is_subtype_of(cls)) out.push_back(obj.get());
     return out;
 }
 
 const MObject* Model::find_named(const MetaClass& cls, std::string_view name) const {
-    for (const auto& [_, obj] : objects_)
-        if (obj->meta_class().is_subtype_of(cls) && obj->name() == name) return obj.get();
+    for (const auto& obj : objects_)
+        if (obj && obj->meta_class().is_subtype_of(cls) && obj->name() == name)
+            return obj.get();
     return nullptr;
 }
 
 std::vector<const MObject*> Model::roots() const {
     std::vector<const MObject*> out;
-    for (const auto& [_, obj] : objects_)
-        if (container_of(obj->id()) == nullptr) out.push_back(obj.get());
+    for (const auto& obj : objects_)
+        if (obj && container_of(obj->id()) == nullptr) out.push_back(obj.get());
     return out;
 }
 
 const MObject* Model::container_of(ObjectId id) const {
-    for (const auto& [_, obj] : objects_) {
-        for (const MetaReference* r : obj->meta_class().all_references()) {
-            if (!r->containment) continue;
-            for (ObjectId t : obj->refs(r->name))
+    for (const auto& obj : objects_) {
+        if (!obj) continue;
+        const auto& refs = obj->meta_class().all_references();
+        for (std::size_t slot = 0; slot < refs.size(); ++slot) {
+            if (!refs[slot]->containment) continue;
+            for (ObjectId t : obj->refs_[slot])
                 if (t == id) return obj.get();
         }
     }

@@ -1,14 +1,13 @@
 // Reflective model instances conforming to a Metamodel.
 //
 // A Model owns MObjects created from MetaClasses. Objects carry attribute
-// values and reference lists keyed by feature name; feature existence and
-// basic type compatibility are checked eagerly (throw), deeper conformance
-// (multiplicities, containment shape, enum literals) is checked by
-// validate() in validate.hpp.
+// values and reference lists by slot (the feature's index in its class's
+// flattened list); the name-based accessors resolve the slot. Feature
+// existence and basic type compatibility are checked eagerly (throw),
+// deeper conformance (multiplicities, containment shape, enum literals)
+// is checked by validate() in validate.hpp.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,7 +27,7 @@ public:
     [[nodiscard]] ObjectId id() const { return id_; }
     [[nodiscard]] const MetaClass& meta_class() const { return *cls_; }
 
-    /// Attribute value; a shared null Value when unset.
+    /// Attribute value; a null Value when unset.
     /// Throws std::invalid_argument when the class declares no such attribute.
     [[nodiscard]] const Value& attr(std::string_view name) const;
 
@@ -58,12 +57,16 @@ private:
     friend class Model;
     MObject(ObjectId id, const MetaClass& cls) : id_(id), cls_(&cls) {}
 
-    const MetaReference& checked_reference(std::string_view name) const;
+    /// Slot of the named feature; throws std::invalid_argument when the
+    /// class declares no such feature.
+    [[nodiscard]] std::size_t attribute_slot(std::string_view name) const;
+    [[nodiscard]] std::size_t reference_slot(std::string_view name) const;
+    void set_slot(std::size_t slot, Value v);
 
     ObjectId id_;
     const MetaClass* cls_;
-    std::map<std::string, Value, std::less<>> attrs_;
-    std::map<std::string, std::vector<ObjectId>, std::less<>> refs_;
+    std::vector<Value> attrs_;               ///< by attribute slot
+    std::vector<std::vector<ObjectId>> refs_; ///< by reference slot
 };
 
 /// A model: a set of objects conforming to one metamodel.
@@ -99,7 +102,8 @@ public:
     /// place and reported as dangling by validate().
     bool destroy(ObjectId id);
 
-    [[nodiscard]] std::size_t size() const { return objects_.size(); }
+    /// Live objects (destroyed ones are not counted).
+    [[nodiscard]] std::size_t size() const;
 
     /// Ids of all live objects in creation order.
     [[nodiscard]] std::vector<ObjectId> ids() const;
@@ -119,8 +123,10 @@ public:
 
 private:
     const Metamodel* mm_;
-    std::uint64_t next_id_ = 1;
-    std::map<std::uint64_t, std::unique_ptr<MObject>> objects_;
+    /// Indexed by raw id, in creation order; null where an object was
+    /// destroyed, and at 0 (the null id) once anything was created. Ids
+    /// are never reused: the next id is always the size.
+    std::vector<std::unique_ptr<MObject>> objects_;
 };
 
 } // namespace gmdf::meta

@@ -1,8 +1,5 @@
 #include "meta/validate.hpp"
 
-#include <map>
-#include <set>
-
 namespace gmdf::meta {
 
 namespace {
@@ -66,9 +63,10 @@ void check_ref(const Model& model, const MObject& obj, const MetaReference& r,
 
 Diagnostics validate(const Model& model) {
     Diagnostics out;
+    const std::vector<ObjectId> ids = model.ids();
 
     // Per-object feature checks.
-    for (ObjectId id : model.ids()) {
+    for (ObjectId id : ids) {
         const MObject& obj = model.at(id);
         for (const MetaAttribute* a : obj.meta_class().all_attributes())
             check_attr(obj, *a, out);
@@ -77,34 +75,36 @@ Diagnostics validate(const Model& model) {
     }
 
     // Containment shape: at most one container per object, no cycles.
-    std::map<std::uint64_t, ObjectId> container; // child raw id -> container id
-    for (ObjectId id : model.ids()) {
+    // Child raw id -> its container (null: none seen).
+    std::vector<ObjectId> container(ids.empty() ? 0 : ids.back().raw + 1);
+    for (ObjectId id : ids) {
         const MObject& obj = model.at(id);
         for (const MetaReference* r : obj.meta_class().all_references()) {
             if (!r->containment) continue;
             for (ObjectId child : obj.refs(r->name)) {
                 if (model.get(child) == nullptr) continue; // dangling already reported
-                auto [it, inserted] = container.emplace(child.raw, id);
-                if (!inserted && !(it->second == id))
+                ObjectId& owner = container[child.raw];
+                if (owner.is_null())
+                    owner = id;
+                else if (!(owner == id))
                     out.push_back({Severity::Error, child, "",
-                                   "object contained by both " + to_string(it->second) +
+                                   "object contained by both " + to_string(owner) +
                                        " and " + to_string(id)});
             }
         }
     }
-    for (ObjectId id : model.ids()) {
-        // Walk up the container chain; a revisit of the start means a cycle.
-        std::set<std::uint64_t> seen;
+    for (ObjectId id : ids) {
+        // Walk up the container chain; a revisit of the start means a
+        // cycle. A walk longer than the model has objects is circling a
+        // cycle that misses the start, reported at its own members.
         ObjectId cur = id;
-        while (true) {
-            auto it = container.find(cur.raw);
-            if (it == container.end()) break;
-            cur = it->second;
+        for (std::size_t steps = 0; steps < ids.size(); ++steps) {
+            cur = container[cur.raw];
+            if (cur.is_null()) break;
             if (cur == id) {
                 out.push_back({Severity::Error, id, "", "containment cycle"});
                 break;
             }
-            if (!seen.insert(cur.raw).second) break; // cycle not through id; reported there
         }
     }
 

@@ -158,7 +158,8 @@ const std::vector<SessionController::Verb>& SessionController::verb_table() {
          &C::cmd_step_back},
         {"bisect", "bisect",
          "binary-search the timeline for the first step that diverges from "
-         "the design model or the recorded trace",
+         "the design model or the recorded trace, each probe replaying from "
+         "the latest checkpoint proven faithful",
          &C::cmd_bisect},
         {"quit", "quit", "end the session", &C::cmd_quit},
     });

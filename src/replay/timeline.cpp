@@ -242,37 +242,71 @@ BisectResult Timeline::bisect() {
         return res;
     }
 
-    // Probe from a fixed base (the earliest checkpoint) so "first bad
-    // step <= i" is monotone in i; later checkpoints already contain the
-    // recorded (possibly faulty) state and would mask earlier badness.
-    const Checkpoint& base = store_.entries().front();
-    std::size_t lo = 0;
-    while (lo < events.size() && events[lo].t <= base.snap.time) ++lo;
+    // The search window opens at the earliest checkpoint (the base): a
+    // re-execution from there decides "first bad step <= i", which is
+    // monotone in i. Later checkpoints hold the recorded (possibly
+    // faulty) state, so they stand in for the base only where that
+    // state is proven: see anchor() below.
+    const auto& checkpoints = store_.entries();
+    const Checkpoint& base = checkpoints.front();
+    auto first_after = [&](rt::SimTime t) {
+        return static_cast<std::size_t>(
+            std::partition_point(events.begin(), events.end(),
+                                 [&](const core::TraceEvent& e) { return e.t <= t; }) -
+            events.begin());
+    };
+    std::size_t lo = first_after(base.snap.time);
     if (lo >= events.size()) {
         res.error = "every recorded event predates the earliest checkpoint";
         return res;
     }
-    const std::size_t start = lo;
-    res.steps_searched = events.size() - start;
+    res.steps_searched = events.size() - lo;
 
-    // A probe re-executes [base, events[i].t] and reports the earliest
-    // disagreement (trace mismatch or divergence) it observed. Probing
-    // from the fixed base keeps "bad(i)" monotone, so every nullopt
-    // probe proves the prefix up to its midpoint re-executes faithfully.
     Snapshot bookmark;
     {
         obs::Span span("replay", "capture", {}, -1, replay_metrics().capture_ns);
         bookmark = capture_snapshot(*target_, *session_);
     }
-    auto probe = [&](std::size_t i) -> std::optional<std::size_t> {
-        TraceComparator comp(events, start);
-        replay_span(base, events[i].t, &comp);
+    // Every step before `proven` has re-executed from the base without
+    // disagreement, so the latest checkpoint before that step holds the
+    // state re-executing the base would reach there (the platform is
+    // deterministic). A probe at step i restores the latest checkpoint
+    // strictly before events[min(proven, i)].t and compares from the
+    // first event after it.
+    std::size_t proven = lo;
+    auto anchor = [&](std::size_t i) -> const Checkpoint& {
+        rt::SimTime limit = events[std::min(proven, i)].t;
+        auto it = std::partition_point(
+            checkpoints.begin(), checkpoints.end(),
+            [&](const Checkpoint& cp) { return cp.snap.time < limit; });
+        return it == checkpoints.begin() ? base : *std::prev(it);
+    };
+    // A probe re-executes up to events[i].t and reports the earliest
+    // disagreement (trace mismatch or divergence) it observed.
+    auto probe = [&](std::size_t i) {
+        const Checkpoint& from = anchor(i);
+        TraceComparator comp(events, first_after(from.snap.time));
+        replay_span(from, events[i].t, &comp);
         ++res.probes;
-        return comp.first_bad();
+        proven = std::max(proven, comp.first_bad().value_or(comp.matched_through()));
+        return comp;
     };
 
-    std::size_t hi = events.size() - 1;
-    std::optional<std::size_t> full = probe(hi);
+    // The first probe runs to the last step at or before the earliest
+    // divergence recorded after the base: a deterministic re-execution
+    // trips it there again, so nothing later can hold the first bad
+    // step. It runs to the end when nothing diverged, or when that
+    // bounded probe comes back clean.
+    const std::size_t last = events.size() - 1;
+    std::size_t first = last;
+    for (const core::Divergence& d : session_->divergences()) {
+        if (d.t <= base.snap.time) continue;
+        std::size_t after = first_after(d.t);
+        if (after > lo) first = after - 1;
+        break;
+    }
+    std::optional<std::size_t> full = probe(first).first_bad();
+    if (!full.has_value() && first < last) full = probe(last).first_bad();
     if (!full.has_value()) {
         obs::Span span("replay", "restore", {}, -1, replay_metrics().restore_ns);
         restore_snapshot(bookmark, *target_, *session_);
@@ -285,7 +319,7 @@ BisectResult Timeline::bisect() {
     std::size_t hi_bad = *full;
     while (lo < hi_bad) {
         std::size_t mid = lo + (hi_bad - lo) / 2;
-        std::optional<std::size_t> bad = probe(mid);
+        std::optional<std::size_t> bad = probe(mid).first_bad();
         if (!bad.has_value()) {
             lo = mid + 1;
             continue;
@@ -297,10 +331,8 @@ BisectResult Timeline::bisect() {
     // One confirming probe at the culprit for the human-readable reason.
     // hi_bad == events.size() means the re-execution emitted extra
     // events past the recorded end: anchor on the last recorded step.
-    std::size_t culprit = std::min(hi_bad, events.size() - 1);
-    TraceComparator confirm(events, start);
-    replay_span(base, events[culprit].t, &confirm);
-    ++res.probes;
+    std::size_t culprit = std::min(hi_bad, last);
+    TraceComparator confirm = probe(culprit);
     res.found = true;
     res.step = culprit;
     res.t = events[culprit].t;

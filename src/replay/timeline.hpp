@@ -18,11 +18,14 @@
 // execution byte-identically — the whole platform is deterministic and
 // every execution-affecting input is restored or replayed.
 //
-// bisect(): binary-searches the recorded steps for the first one whose
-// re-execution from the earliest checkpoint disagrees with the recorded
-// trace or trips the divergence checker — the fault-localization loop
-// (find the first step where target behaviour left the design model)
-// as one verb.
+// bisect(): binary-searches the recorded steps after the earliest
+// checkpoint for the first one whose re-execution disagrees with the
+// recorded trace or trips the divergence checker — the fault-
+// localization loop (find the first step where target behaviour left
+// the design model) as one verb. Each probe restores the latest
+// checkpoint before the first step not yet proven faithful, so cadence
+// captures bound how much a probe re-executes, and the first probe
+// stops at the earliest recorded divergence.
 #pragma once
 
 #include <cstdint>

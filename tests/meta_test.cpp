@@ -134,9 +134,26 @@ TEST(Metamodel, InheritedFeatureLookup) {
     EXPECT_TRUE(f.state->is_subtype_of(*f.element));
     EXPECT_FALSE(f.element->is_subtype_of(*f.state));
     // all_attributes lists supers first.
-    auto attrs = f.state->all_attributes();
+    const auto& attrs = f.state->all_attributes();
     ASSERT_EQ(attrs.size(), 3u);
     EXPECT_EQ(attrs[0]->name, "name");
+
+    // A feature added to a superclass after its subclass exists shows
+    // up in the subclass's lists, still supers first.
+    f.mm.add_attribute(*f.element, gm::attr_string("note"));
+    f.mm.add_reference(*f.element, gm::ref_plain("tags", *f.state));
+    ASSERT_EQ(attrs.size(), 4u);
+    EXPECT_EQ(attrs[0]->name, "name");
+    EXPECT_EQ(attrs[1]->name, "note");
+    EXPECT_EQ(attrs[2]->name, "kind");
+    EXPECT_EQ(attrs[3]->name, "entry_count");
+    const auto& refs = f.transition->all_references();
+    ASSERT_EQ(refs.size(), 3u);
+    EXPECT_EQ(refs[0]->name, "tags");
+    EXPECT_EQ(refs[1]->name, "from");
+    EXPECT_EQ(f.state->find_attribute("note"), f.element->find_attribute("note"));
+    // A name a subclass already declares cannot be added above it.
+    EXPECT_THROW(f.mm.add_attribute(*f.element, gm::attr_int("kind")), std::invalid_argument);
 }
 
 TEST(Metamodel, ForeignSuperclassRejected) {
@@ -198,17 +215,61 @@ TEST(Model, RefManipulation) {
     EXPECT_EQ(t.ref("from"), b.id());
     EXPECT_EQ(t.remove_ref("from", b.id()), 1u);
     EXPECT_TRUE(t.ref("from").is_null());
+
+    // A clone is a deep copy: mutating it leaves the original alone,
+    // and it numbers new objects after the original's last id.
+    t.set_ref("to", a.id());
+    t.set_attr("event", gm::Value("go"));
+    gm::Model copy = m.clone();
+    gm::MObject& t2 = copy.at(t.id());
+    t2.set_ref("to", b.id());
+    t2.add_ref("from", a.id());
+    t2.set_attr("event", gm::Value("stop"));
+    EXPECT_EQ(t.ref("to"), a.id());
+    EXPECT_TRUE(t.ref("from").is_null());
+    EXPECT_EQ(t.attr("event").as_string(), "go");
+    EXPECT_EQ(t2.ref("to"), b.id());
+    EXPECT_EQ(t2.attr("event").as_string(), "stop");
+    const gm::ObjectId last = t.id();
+    EXPECT_TRUE(m.destroy(last));
+    EXPECT_NE(copy.get(last), nullptr);
+    EXPECT_EQ(copy.create(*f.state).id().raw, last.raw + 1);
+    EXPECT_EQ(copy.size(), 4u);
+    EXPECT_EQ(m.size(), 2u);
 }
 
 TEST(Model, DestroyAndLookup) {
     Fixture f;
     gm::Model m(f.mm);
+    EXPECT_EQ(m.get(gm::ObjectId{}), nullptr);
     auto id = m.create(*f.state).id();
+    EXPECT_FALSE(id.is_null());
     EXPECT_NE(m.get(id), nullptr);
+    EXPECT_EQ(m.get(gm::ObjectId{}), nullptr);
+    EXPECT_EQ(m.get(gm::ObjectId{id.raw + 1}), nullptr);
+    EXPECT_EQ(m.get(gm::ObjectId{id.raw + 1000}), nullptr);
+    auto kept = m.create(*f.state).id();
+    EXPECT_EQ(m.size(), 2u);
     EXPECT_TRUE(m.destroy(id));
     EXPECT_EQ(m.get(id), nullptr);
     EXPECT_FALSE(m.destroy(id));
+    EXPECT_FALSE(m.destroy(gm::ObjectId{}));
     EXPECT_THROW((void)m.at(id), std::out_of_range);
+    EXPECT_EQ(m.size(), 1u);
+    EXPECT_EQ(m.ids(), std::vector<gm::ObjectId>{kept});
+
+    // Destroyed ids are never reused, not even the last one.
+    EXPECT_TRUE(m.destroy(kept));
+    EXPECT_EQ(m.size(), 0u);
+    auto fresh = m.create(*f.state).id();
+    EXPECT_GT(fresh.raw, kept.raw);
+    EXPECT_EQ(m.get(id), nullptr);
+    EXPECT_EQ(m.get(kept), nullptr);
+
+    // A moved-from model still never hands out the null id.
+    gm::Model moved = std::move(m);
+    EXPECT_NE(moved.get(fresh), nullptr);
+    EXPECT_FALSE(m.create(*f.state).id().is_null()); // NOLINT(bugprone-use-after-move)
 }
 
 TEST(Model, AllOfIncludesSubclasses) {

@@ -12,6 +12,7 @@
 
 #include "codegen/loader.hpp"
 #include "comdes/build.hpp"
+#include "core/observer.hpp"
 #include "core/session.hpp"
 #include "core/transports.hpp"
 #include "hub/controller.hpp"
@@ -524,6 +525,95 @@ TEST(Bisect, CleanTimelineReportsNoDivergence) {
     EXPECT_FALSE(res.found);
     EXPECT_GE(res.probes, 1u);
 }
+
+// Anchored bisect: every probe restores the latest checkpoint whose
+// prefix has already replayed faithfully, so cadence captures must
+// change how much is re-executed and never what bisect reports. Each
+// case drives one scenario twice through the same script, once with
+// `checkpoint auto 50` and once holding only a t = 0 checkpoint.
+struct BisectCase {
+    const char* scenario;
+    std::vector<std::string> script; ///< after the checkpoint setup
+};
+
+void PrintTo(const BisectCase& c, std::ostream* os) { *os << c.scenario; }
+
+/// Counts the commands the engine re-executes while bisect probes.
+struct ReplayCounter final : gmdf::core::EngineObserver {
+    [[nodiscard]] bool replay_aware() const override { return true; }
+    void on_command(const gmdf::link::Command&, rt::SimTime) override { ++commands; }
+    std::size_t commands = 0;
+};
+
+struct BisectRun {
+    gr::BisectResult result;
+    std::size_t reexecuted = 0;
+    std::size_t trace_size = 0;
+    std::size_t checkpoints = 0;
+};
+
+BisectRun run_and_bisect(const BisectCase& c, const std::string& checkpoint_setup) {
+    BisectRun out;
+    auto s = gp::make_scenario(c.scenario);
+    if (s == nullptr) {
+        ADD_FAILURE() << "unknown scenario " << c.scenario;
+        return out;
+    }
+    expect_ok(*s, checkpoint_setup);
+    for (const std::string& line : c.script) expect_ok(*s, line);
+    EXPECT_FALSE(s->session->divergences().empty()) << "the injected fault must trip the checker";
+    ReplayCounter counter;
+    s->session->engine().add_observer(&counter);
+    out.result = s->timeline->bisect();
+    s->session->engine().remove_observer(&counter);
+    out.reexecuted = counter.commands;
+    out.trace_size = s->session->trace().size();
+    out.checkpoints = s->timeline->store().entries().size();
+    return out;
+}
+
+class AnchoredBisect : public ::testing::TestWithParam<BisectCase> {};
+
+TEST_P(AnchoredBisect, MatchesTheBaselineOnlySearchAndReExecutesLess) {
+    BisectRun cadence = run_and_bisect(GetParam(), "checkpoint auto 50");
+    BisectRun baseline = run_and_bisect(GetParam(), "checkpoint now");
+    ASSERT_TRUE(cadence.result.error.empty()) << cadence.result.error;
+    ASSERT_TRUE(baseline.result.error.empty()) << baseline.result.error;
+    ASSERT_TRUE(baseline.result.found);
+    ASSERT_GT(cadence.checkpoints, 2u);
+    ASSERT_EQ(baseline.checkpoints, 1u);
+
+    EXPECT_EQ(cadence.result.found, baseline.result.found);
+    EXPECT_EQ(cadence.result.step, baseline.result.step);
+    EXPECT_EQ(cadence.result.t, baseline.result.t);
+    EXPECT_EQ(cadence.result.command, baseline.result.command);
+    EXPECT_EQ(cadence.result.reason, baseline.result.reason);
+    EXPECT_EQ(cadence.result.steps_searched, baseline.result.steps_searched);
+    EXPECT_EQ(cadence.result.probes, baseline.result.probes);
+
+    EXPECT_LT(cadence.reexecuted, baseline.reexecuted)
+        << "cadence captures must serve as probe anchors";
+    EXPECT_LT(baseline.reexecuted, baseline.trace_size)
+        << "the first probe stops at the earliest recorded divergence";
+}
+
+// The binary search re-executes about log2(k) prefixes of the first bad
+// step k, so each run lasts several times longer than its first
+// divergence (lift_fault at 206 ms; the generated models at 168, 330
+// and 125 ms) for the bound on the first probe to show.
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, AnchoredBisect,
+    ::testing::Values(
+        BisectCase{"lift_fault", {"run 2000"}},
+        // Journaled controls between cadence captures: a breakpoint
+        // pauses the lift at its first 'moving' entry, then a step, the
+        // breakpoint's removal and a resume replay with every probe.
+        BisectCase{"lift_fault",
+                   {"run 30", "break add state moving", "run 120", "step", "run 15",
+                    "break remove 1", "resume", "run 1900"}},
+        BisectCase{"gen:5:wrong-transition-target", {"run 2400"}},
+        BisectCase{"gen:14:wrong-transition-target", {"run 2400"}},
+        BisectCase{"gen:20:wrong-transition-target", {"run 2400"}}));
 
 // A checkpoint carries the state nested FBs keep in their inner
 // programs (a modal FB's active mode and held outputs too): re-executing

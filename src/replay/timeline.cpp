@@ -245,8 +245,8 @@ BisectResult Timeline::bisect() {
     // The search window opens at the earliest checkpoint (the base): a
     // re-execution from there decides "first bad step <= i", which is
     // monotone in i. Later checkpoints hold the recorded (possibly
-    // faulty) state, so they stand in for the base only where that
-    // state is proven: see anchor() below.
+    // faulty) state, so a probe restores one only where that state is
+    // proven.
     const auto& checkpoints = store_.entries();
     const Checkpoint& base = checkpoints.front();
     auto first_after = [&](rt::SimTime t) {
@@ -268,23 +268,19 @@ BisectResult Timeline::bisect() {
         bookmark = capture_snapshot(*target_, *session_);
     }
     // Every step before `proven` has re-executed from the base without
-    // disagreement, so the latest checkpoint before that step holds the
-    // state re-executing the base would reach there (the platform is
-    // deterministic). A probe at step i restores the latest checkpoint
-    // strictly before events[min(proven, i)].t and compares from the
-    // first event after it.
+    // disagreement, so the latest checkpoint strictly before
+    // events[min(proven, i)].t holds the state re-executing the base
+    // would reach there (the platform is deterministic). A probe at
+    // step i restores that checkpoint, re-executes up to events[i].t
+    // comparing from the first event after it, and reports the earliest
+    // disagreement (trace mismatch or divergence) it observed.
     std::size_t proven = lo;
-    auto anchor = [&](std::size_t i) -> const Checkpoint& {
+    auto probe = [&](std::size_t i) {
         rt::SimTime limit = events[std::min(proven, i)].t;
         auto it = std::partition_point(
             checkpoints.begin(), checkpoints.end(),
             [&](const Checkpoint& cp) { return cp.snap.time < limit; });
-        return it == checkpoints.begin() ? base : *std::prev(it);
-    };
-    // A probe re-executes up to events[i].t and reports the earliest
-    // disagreement (trace mismatch or divergence) it observed.
-    auto probe = [&](std::size_t i) {
-        const Checkpoint& from = anchor(i);
+        const Checkpoint& from = it == checkpoints.begin() ? base : *std::prev(it);
         TraceComparator comp(events, first_after(from.snap.time));
         replay_span(from, events[i].t, &comp);
         ++res.probes;

@@ -377,6 +377,38 @@ TEST(Validate, DoubleContainmentReported) {
     EXPECT_TRUE(found);
 }
 
+// a -> b -> c -> a is a containment cycle: each of its members reports
+// it once. e hangs off the cycle and d holds a second container for a;
+// neither is part of the cycle.
+TEST(Validate, ContainmentCycleReportedAtItsMembers) {
+    gm::Metamodel mm("tree");
+    auto& node = mm.add_class("Node");
+    mm.add_reference(node, gm::ref_contain("children", node));
+    gm::Model m(mm);
+    auto& a = m.create(node);
+    auto& b = m.create(node);
+    auto& c = m.create(node);
+    auto& d = m.create(node);
+    auto& e = m.create(node);
+    a.add_ref("children", b.id());
+    b.add_ref("children", c.id());
+    b.add_ref("children", e.id());
+    c.add_ref("children", a.id());
+    d.add_ref("children", a.id());
+
+    std::vector<gm::ObjectId> cyclic;
+    std::size_t doubly_contained = 0;
+    for (const gm::Diagnostic& diag : gm::validate(m)) {
+        if (diag.message == "containment cycle") cyclic.push_back(diag.object);
+        if (diag.message.find("contained by both") != std::string::npos) {
+            EXPECT_EQ(diag.object, a.id());
+            ++doubly_contained;
+        }
+    }
+    EXPECT_EQ(cyclic, (std::vector<gm::ObjectId>{a.id(), b.id(), c.id()}));
+    EXPECT_EQ(doubly_contained, 1u);
+}
+
 TEST(Validate, TypeMismatchedReference) {
     Fixture f;
     gm::Model m(f.mm);

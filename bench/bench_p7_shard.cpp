@@ -166,7 +166,7 @@ CampaignRate bench_campaign(int pairs, int threads) {
         total_ms.push_back(us_since(t0) / 1000.0);
         rate.push_back(pairs / (total_ms.back() / 1000.0));
     }
-    return {"campaign_" + std::to_string(pairs) + "_wave8_t" + std::to_string(threads),
+    return {"campaign_" + std::to_string(pairs) + "_t" + std::to_string(threads),
             pairs, threads, spread_of(total_ms), spread_of(rate)};
 }
 

@@ -71,31 +71,16 @@ TwinScenarios make_twin_scenarios(const GenSpec& spec, std::uint32_t model_seed,
 
 namespace {
 
-/// One pair resident on the wave's fleet, awaiting classification.
-struct LivePair {
-    int index = 0;
-    std::uint32_t model_seed = 0;
-    codegen::FaultKind kind = codegen::FaultKind::WrongTransitionTarget;
-    int clean_id = 0;
-    int fault_id = 0;
-    std::string fault_description;
-};
-
-PairResult classify(hub::SessionRegistry& registry, const LivePair& live) {
-    PairResult r;
-    r.index = live.index;
-    r.model_seed = live.model_seed;
-    r.kind = live.kind;
-
-    auto* clean_entry = registry.find(live.clean_id);
-    auto* fault_entry = registry.find(live.fault_id);
-    const auto& clean_trace = clean_entry->session().trace().events();
-    const auto& fault_trace = fault_entry->session().trace().events();
+/// Classifies a pumped pair into `r`, whose index, seed and kind are set.
+void classify(hub::SessionRegistry::Entry& clean, hub::SessionRegistry::Entry& faulted,
+              PairResult& r) {
+    const auto& clean_trace = clean.session().trace().events();
+    const auto& fault_trace = faulted.session().trace().events();
 
     // Structural faults trip the engine's design-model consistency
     // checker; hand those to replay::bisect for step-level localization.
-    if (!fault_entry->session().divergences().empty()) {
-        replay::BisectResult br = fault_entry->scenario->timeline->bisect();
+    if (!faulted.session().divergences().empty()) {
+        replay::BisectResult br = faulted.scenario->timeline->bisect();
         if (br.found) {
             r.outcome = Outcome::Localized;
             r.method = Method::Bisect;
@@ -103,7 +88,7 @@ PairResult classify(hub::SessionRegistry& registry, const LivePair& live) {
             r.t = br.t;
             r.probes = br.probes;
             r.detail = br.reason;
-            return r;
+            return;
         }
         // Bisect's window can miss a divergence at the baseline instant
         // (e.g. a wrong initial state firing at t=0); the differential
@@ -114,14 +99,14 @@ PairResult classify(hub::SessionRegistry& registry, const LivePair& live) {
             r.step = diff->step;
             r.t = diff->t;
             r.detail = diff->reason;
-            return r;
+            return;
         }
-        const core::Divergence& d = fault_entry->session().divergences().front();
+        const core::Divergence& d = faulted.session().divergences().front();
         r.outcome = Outcome::Localized;
         r.method = Method::Differential;
         r.t = d.t;
         r.detail = d.message;
-        return r;
+        return;
     }
 
     // Value faults never alarm the checker — only the clean twin knows.
@@ -131,10 +116,47 @@ PairResult classify(hub::SessionRegistry& registry, const LivePair& live) {
         r.step = diff->step;
         r.t = diff->t;
         r.detail = diff->reason;
-        return r;
+        return;
     }
 
     r.outcome = Outcome::Clean;
+}
+
+/// One pair, start to finish: build both twins, pump them on a registry
+/// and one-thread pump of their own, then classify.
+PairResult run_pair(const CampaignConfig& cfg, int index, codegen::FaultKind kind) {
+    PairResult r;
+    r.index = index;
+    r.model_seed = cfg.seed * 100003u + static_cast<std::uint32_t>(index);
+    r.kind = kind;
+    TwinScenarios twins = make_twin_scenarios(cfg.gen, r.model_seed, kind);
+    if (twins.faulted == nullptr) {
+        r.detail = "no applicable element";
+        return r;
+    }
+
+    // Baseline checkpoint at t=0 so bisect's search window covers the
+    // whole trace, then cadence captures during the pump, which bisect's
+    // probes restore as anchors.
+    twins.faulted->timeline->set_auto_period(CampaignConfig::checkpoint_every);
+    twins.faulted->timeline->capture_now();
+
+    hub::SessionRegistry registry;
+    const std::string tag = "p" + std::to_string(index);
+    auto* clean = registry.adopt(std::move(twins.clean), tag + "_clean");
+    auto* faulted = registry.adopt(std::move(twins.faulted), tag + "_fault");
+    // The twins never interact, so slice granularity only costs overhead
+    // here: one slice per checkpoint cadence gives the faulted twin the
+    // same capture instants (and therefore the same bisect windows) as
+    // the default 10 ms slicing, at a tenth of the bookkeeping.
+    hub::ShardedScheduler scheduler;
+    scheduler.set_budget(CampaignConfig::checkpoint_every);
+    scheduler.pump(registry, CampaignConfig::run_for, [](hub::SessionRegistry::Entry& entry) {
+        entry.scenario->timeline->maybe_capture();
+    });
+
+    classify(*clean, *faulted, r);
+    if (r.detail.empty()) r.detail = std::move(twins.fault_description);
     return r;
 }
 
@@ -167,98 +189,14 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
     CampaignReport report;
     report.config = cfg;
     const std::vector<codegen::FaultKind> kinds = codegen::all_fault_kinds();
-    const int pairs = cfg.pairs < 0 ? 0 : cfg.pairs;
-    const int wave_size = cfg.wave < 1 ? 1 : cfg.wave;
-    const int threads = cfg.threads < 1 ? 1 : cfg.threads;
-
-    for (int wave_start = 0; wave_start < pairs; wave_start += wave_size) {
-        const int wave_end = std::min(pairs, wave_start + wave_size);
-        const int wave_n = wave_end - wave_start;
-        hub::SessionRegistry registry;
-        hub::ShardedScheduler scheduler;
-        scheduler.set_threads(threads);
-        // Wave sessions never interact, so slice granularity only costs
-        // overhead here: one slice per checkpoint cadence gives the
-        // faulted twins the same capture instants (and therefore the
-        // same bisect windows) as the default 10 ms slicing, at a tenth
-        // of the round-robin bookkeeping.
-        if (cfg.checkpoint_every > 0) scheduler.set_budget(cfg.checkpoint_every);
-
-        // Build every pair's twin scenarios in parallel: each pair is
-        // derived from its own seed alone.
-        std::vector<TwinScenarios> twins(static_cast<std::size_t>(wave_n));
-        hub::parallel_for(wave_n, threads, [&](int j) {
-            const int i = wave_start + j;
-            const std::uint32_t model_seed =
-                cfg.seed * 100003u + static_cast<std::uint32_t>(i);
-            const codegen::FaultKind kind =
-                kinds[static_cast<std::size_t>(i) % kinds.size()];
-            TwinScenarios& pair = twins[static_cast<std::size_t>(j)];
-            pair = make_twin_scenarios(cfg.gen, model_seed, kind);
-            if (pair.faulted == nullptr) return; // skipped
-
-            // Baseline checkpoint at t=0 so bisect's search window covers
-            // the whole trace, then cadence captures during the pump,
-            // which bisect's probes restore as anchors.
-            pair.faulted->timeline->set_auto_period(cfg.checkpoint_every);
-            pair.faulted->timeline->capture_now();
-        });
-
-        // Adopt in pair order (stable session ids), then pump the whole
-        // wave across the scheduler's shards.
-        std::vector<LivePair> live;
-        std::vector<PairResult> skipped;
-        for (int j = 0; j < wave_n; ++j) {
-            const int i = wave_start + j;
-            const std::uint32_t model_seed =
-                cfg.seed * 100003u + static_cast<std::uint32_t>(i);
-            const codegen::FaultKind kind =
-                kinds[static_cast<std::size_t>(i) % kinds.size()];
-            TwinScenarios& pair = twins[static_cast<std::size_t>(j)];
-            if (pair.faulted == nullptr) {
-                PairResult r;
-                r.index = i;
-                r.model_seed = model_seed;
-                r.kind = kind;
-                r.outcome = Outcome::Skipped;
-                r.detail = "no applicable element";
-                skipped.push_back(r);
-                continue;
-            }
-            const std::string tag = "p" + std::to_string(i);
-            auto* clean_entry = registry.adopt(std::move(pair.clean), tag + "_clean");
-            auto* fault_entry = registry.adopt(std::move(pair.faulted), tag + "_fault");
-            live.push_back({i, model_seed, kind, clean_entry->id, fault_entry->id,
-                            std::move(pair.fault_description)});
-        }
-
-        scheduler.pump(registry, cfg.run_for, [](hub::SessionRegistry::Entry& entry) {
-            entry.scenario->timeline->maybe_capture();
-        });
-
-        // Classify in parallel (bisect re-executes only its own pair's
-        // sessions), then assemble the report in pair order.
-        std::vector<PairResult> results(live.size());
-        hub::parallel_for(static_cast<int>(live.size()), threads, [&](int j) {
-            const LivePair& pair = live[static_cast<std::size_t>(j)];
-            PairResult r = classify(registry, pair);
-            if (r.detail.empty()) r.detail = pair.fault_description;
-            results[static_cast<std::size_t>(j)] = std::move(r);
-        });
-
-        std::size_t next_skipped = 0;
-        std::size_t next_live = 0;
-        for (int j = 0; j < wave_n; ++j) {
-            const int i = wave_start + j;
-            PairResult r;
-            if (next_skipped < skipped.size() && skipped[next_skipped].index == i)
-                r = std::move(skipped[next_skipped++]);
-            else
-                r = std::move(results[next_live++]);
-            report.pairs.push_back(std::move(r));
-            tally(report, report.pairs.back());
-        }
-    }
+    report.pairs.resize(static_cast<std::size_t>(std::max(cfg.pairs, 0)));
+    // Each task derives its pair from its own seed alone and writes only
+    // its own slot, so the results are the same at any thread count.
+    hub::parallel_for(cfg.pairs, cfg.threads, [&](int i) {
+        const auto at = static_cast<std::size_t>(i);
+        report.pairs[at] = run_pair(cfg, i, kinds[at % kinds.size()]);
+    });
+    for (const PairResult& r : report.pairs) tally(report, r);
     return report;
 }
 

@@ -16,11 +16,11 @@
 //              on a model whose transitions drew no guards).
 //
 // Zero crashes and zero unclassified pairs is the campaign contract;
-// gmdf_campaign's exit code enforces it in CI. Pairs run in waves on one
-// SessionRegistry + ShardedScheduler per wave, so campaigns exercise the
-// same fleet machinery the hub serves interactively; `threads` fans the
-// wave's construction, pump, and classification across workers without
-// changing the report.
+// gmdf_campaign's exit code enforces it in CI. Each pair is one task: it
+// builds its twins, adopts them into a SessionRegistry of its own, pumps
+// them on a one-thread ShardedScheduler (the pump the hub serves with),
+// and classifies them. `threads` drains the tasks on that many
+// hub::parallel_for workers without changing the report.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +43,18 @@ struct CampaignConfig {
     GenSpec gen;
     int pairs = 200;
     std::uint32_t seed = 1;
-    rt::SimTime run_for = 600 * rt::kMs;          ///< per-pair execution span
-    rt::SimTime checkpoint_every = 100 * rt::kMs; ///< faulted twin's cadence
-    int wave = 8; ///< pairs resident on the fleet at once
-    /// Worker threads per wave: scenario construction and classification
-    /// (bisect / twin diff) fan out across pairs through
-    /// hub::parallel_for, and the fleet pump shards across the same
-    /// hub::ShardedScheduler the interactive hub runs. 1 (default) is
-    /// fully serial. The report is identical at any thread count:
-    /// every pair is seeded, built, executed, and classified in
-    /// isolation, and results are assembled in pair order.
+    /// Worker threads: hub::parallel_for drains the per-pair tasks on
+    /// min(threads, pairs, hub::kMaxThreads) workers. 1 (default) runs
+    /// the pairs in order on the calling thread. The report is identical
+    /// at any thread count: every pair is seeded, built, executed and
+    /// classified in isolation, and lands at its own index.
     int threads = 1;
+
+    static constexpr rt::SimTime run_for = 600 * rt::kMs;          ///< per-pair execution span
+    static constexpr rt::SimTime checkpoint_every = 100 * rt::kMs; ///< faulted twin's cadence
+    /// Pairs per wave in perfbench's traced decomposition of a batch, the
+    /// one reader left; it goes when that mirror runs one task per pair.
+    static constexpr int wave = 8;
 };
 
 /// Scenario construction outcome for one (model, fault) pair.

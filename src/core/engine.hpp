@@ -59,10 +59,6 @@ public:
     /// Unregisters; false when it was not registered.
     bool remove_observer(EngineObserver* observer);
 
-    [[nodiscard]] const std::vector<EngineObserver*>& observers() const {
-        return observers_;
-    }
-
     void set_bindings(CommandBindingTable bindings) { bindings_ = std::move(bindings); }
     [[nodiscard]] const CommandBindingTable& bindings() const { return bindings_; }
 

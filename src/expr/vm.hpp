@@ -25,7 +25,7 @@ namespace gmdf::expr {
 
 /// VM opcodes. `a`/`b` operand meaning per op is documented inline.
 enum class Op : std::uint8_t {
-    PushConst, ///< push consts()[a]
+    PushConst, ///< push constant-pool entry a
     LoadSlot,  ///< push slots[a]
     Neg,       ///< arithmetic negation (Int stays Int)
     Not,       ///< logical not -> Bool
@@ -166,7 +166,6 @@ public:
     [[nodiscard]] std::size_t slot_count() const { return slot_count_; }
 
     [[nodiscard]] const std::vector<Insn>& code() const { return code_; }
-    [[nodiscard]] const std::vector<VmValue>& consts() const { return consts_; }
 
     /// Human-readable listing, one instruction per line (tests, tracing).
     [[nodiscard]] std::string disassemble() const;

@@ -15,7 +15,7 @@
 namespace gmdf::hub {
 
 void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
-    const int workers = std::min(threads, n);
+    const int workers = std::min({threads, n, kMaxThreads});
     std::atomic<int> next{0};
     auto drain = [&] {
         for (;;) {
@@ -116,7 +116,7 @@ struct WorkerTally {
 } // namespace
 
 void ShardedScheduler::set_threads(int threads) {
-    threads_ = std::clamp(threads, 1, 256);
+    threads_ = std::clamp(threads, 1, kMaxThreads);
     shards_.resize(static_cast<std::size_t>(threads_));
 }
 

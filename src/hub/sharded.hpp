@@ -64,11 +64,15 @@
 
 namespace gmdf::hub {
 
-/// fn(i) for i in [0, n), fanned out across min(threads, n) workers
-/// pulling indices from a shared counter: the calling thread is one of
-/// them, the rest are spawned and joined before returning, so results
-/// written at distinct indices are ordered for the caller. With one
-/// worker nothing is spawned and indices run in order. fn must only
+/// The most worker threads anything here starts: parallel_for's cap and
+/// ShardedScheduler::set_threads's clamp.
+inline constexpr int kMaxThreads = 256;
+
+/// fn(i) for i in [0, n), fanned out across min(threads, n, kMaxThreads)
+/// workers pulling indices from a shared counter: the calling thread is
+/// one of them, the rest are spawned and joined before returning, so
+/// results written at distinct indices are ordered for the caller. With
+/// one worker nothing is spawned and indices run in order. fn must only
 /// touch index-local state (or synchronize what it shares), and must
 /// not throw when more than one worker runs: an exception escaping a
 /// spawned worker ends the program.
@@ -112,7 +116,7 @@ public:
     };
 
     /// Worker-thread count; 1 (default) pumps on the calling thread.
-    /// Clamped to [1, 256].
+    /// Clamped to [1, kMaxThreads].
     void set_threads(int threads);
     [[nodiscard]] int threads() const { return threads_; }
 

@@ -57,8 +57,6 @@ public:
     bool clock(bool tms, bool tdi);
 
     [[nodiscard]] TapState state() const { return state_; }
-    [[nodiscard]] std::uint8_t ir() const { return ir_; }
-    [[nodiscard]] std::uint32_t address_reg() const { return addr_; }
 
     /// Total TCK edges applied (the probe's time accounting reads this).
     [[nodiscard]] std::uint64_t tck_count() const { return tck_; }

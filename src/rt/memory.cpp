@@ -12,7 +12,6 @@ std::uint32_t MemoryMap::alloc(const std::string& name) {
         throw std::invalid_argument("memory symbol '" + name + "' already allocated");
     std::uint32_t addr = kBase + static_cast<std::uint32_t>(words_.size()) * 4u;
     words_.push_back(0);
-    symbols_.emplace_back(name, addr);
     by_name_.emplace(it, name, addr);
     return addr;
 }

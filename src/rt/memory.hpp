@@ -46,11 +46,6 @@ public:
 
     [[nodiscard]] std::size_t word_count() const { return words_.size(); }
 
-    /// Symbol table in allocation order: (name, address).
-    [[nodiscard]] const std::vector<std::pair<std::string, std::uint32_t>>& symbols() const {
-        return symbols_;
-    }
-
     /// Serializes the RAM image (words only — the symbol table is fixed
     /// at load time and shared by every snapshot of the same system).
     void save_state(StateWriter& w) const;
@@ -63,7 +58,6 @@ private:
     [[nodiscard]] std::size_t index_of(std::uint32_t addr) const;
 
     std::vector<std::uint32_t> words_;
-    std::vector<std::pair<std::string, std::uint32_t>> symbols_;
     std::vector<std::pair<std::string, std::uint32_t>> by_name_; ///< sorted by name
 };
 

@@ -54,10 +54,6 @@ void TaskContext::poke_u32(std::uint32_t addr, std::uint32_t value) {
     pokes_.emplace_back(addr, value);
 }
 
-void TaskContext::poke_f32(std::uint32_t addr, float value) {
-    poke_u32(addr, std::bit_cast<std::uint32_t>(value));
-}
-
 Node::Node(Target& target, int id, double clock_hz)
     : target_(&target), id_(id), clock_hz_(clock_hz) {}
 

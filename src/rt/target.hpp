@@ -73,7 +73,6 @@ public:
     /// Buffers a word write into the node memory map, applied when the
     /// job completes (models the generated code updating its variables).
     void poke_u32(std::uint32_t addr, std::uint32_t value);
-    void poke_f32(std::uint32_t addr, float value);
 
     /// Instrumentation cycles accumulated so far in this scan.
     [[nodiscard]] std::uint64_t instr_cycles() const { return instr_cycles_; }

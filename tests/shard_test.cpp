@@ -2,14 +2,19 @@
 // contract (a session's transcript and event stream are identical at 1
 // thread and N threads), full-duration fairness across shards, work
 // stealing off overloaded shards, the `session stats shards` hub verb,
-// and campaign report equality at any thread count.
+// parallel_for's index coverage, and campaign report equality at any
+// thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -232,31 +237,89 @@ TEST(HubVerb, SessionStatsShardsReportsTheSplit) {
     EXPECT_NE(resp.body[2].find("shard 1: sessions 0"), std::string::npos) << resp.body[2];
 }
 
+// ---- parallel_for ----------------------------------------------------------
+
+TEST(ParallelFor, RunsEachIndexExactlyOnce) {
+    for (const auto& [n, threads] : {std::pair{0, 4}, std::pair{1, 4}, std::pair{5, 1},
+                                     std::pair{5, 3}, std::pair{7, 64}}) {
+        std::mutex mu;
+        std::vector<int> order;
+        std::set<std::thread::id> workers;
+        gh::parallel_for(n, threads, [&](int i) {
+            std::lock_guard<std::mutex> lock(mu);
+            order.push_back(i);
+            workers.insert(std::this_thread::get_id());
+        });
+        std::vector<int> each(static_cast<std::size_t>(n));
+        std::iota(each.begin(), each.end(), 0);
+        std::vector<int> sorted = order;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, each) << "n " << n << ", threads " << threads;
+        EXPECT_LE(workers.size(), static_cast<std::size_t>(std::min(n, threads)));
+        if (threads == 1) {
+            // One worker: the calling thread, in index order.
+            EXPECT_EQ(workers, std::set<std::thread::id>{std::this_thread::get_id()});
+            EXPECT_EQ(order, each);
+        }
+    }
+}
+
 // ---- campaign ---------------------------------------------------------------
 
-TEST(Campaign, ReportIdenticalAtAnyThreadCount) {
-    gca::CampaignConfig serial_cfg;
-    serial_cfg.pairs = 20;
-    serial_cfg.seed = 5;
-    gca::CampaignConfig sharded_cfg = serial_cfg;
-    sharded_cfg.threads = 4;
-
-    const gca::CampaignReport serial = gca::run_campaign(serial_cfg);
-    const gca::CampaignReport sharded = gca::run_campaign(sharded_cfg);
-
-    EXPECT_EQ(serial.summary_lines(), sharded.summary_lines());
-    ASSERT_EQ(serial.pairs.size(), sharded.pairs.size());
-    for (std::size_t i = 0; i < serial.pairs.size(); ++i) {
-        const auto& a = serial.pairs[i];
-        const auto& b = sharded.pairs[i];
-        EXPECT_EQ(a.index, b.index);
-        EXPECT_EQ(a.model_seed, b.model_seed);
-        EXPECT_EQ(a.outcome, b.outcome) << "pair " << a.index;
-        EXPECT_EQ(a.method, b.method) << "pair " << a.index;
-        EXPECT_EQ(a.step, b.step) << "pair " << a.index;
-        EXPECT_EQ(a.t, b.t) << "pair " << a.index;
-        EXPECT_EQ(a.detail, b.detail) << "pair " << a.index;
+void expect_same_report(const gca::CampaignReport& expected, const gca::CampaignReport& got,
+                        const std::string& what) {
+    EXPECT_EQ(expected.summary_lines(), got.summary_lines()) << what;
+    ASSERT_EQ(expected.pairs.size(), got.pairs.size()) << what;
+    for (std::size_t i = 0; i < expected.pairs.size(); ++i) {
+        const auto& a = expected.pairs[i];
+        const auto& b = got.pairs[i];
+        EXPECT_EQ(a.index, b.index) << what << ", pair " << i;
+        EXPECT_EQ(a.model_seed, b.model_seed) << what << ", pair " << a.index;
+        EXPECT_EQ(a.kind, b.kind) << what << ", pair " << a.index;
+        EXPECT_EQ(a.outcome, b.outcome) << what << ", pair " << a.index;
+        EXPECT_EQ(a.method, b.method) << what << ", pair " << a.index;
+        EXPECT_EQ(a.step, b.step) << what << ", pair " << a.index;
+        EXPECT_EQ(a.t, b.t) << what << ", pair " << a.index;
+        EXPECT_EQ(a.probes, b.probes) << what << ", pair " << a.index;
+        EXPECT_EQ(a.detail, b.detail) << what << ", pair " << a.index;
     }
+}
+
+TEST(Campaign, ReportIdenticalAtAnyThreadCount) {
+    // The second batch draws guardless models, so every negate-guard pair
+    // is skipped inside a worker.
+    gca::CampaignConfig batches[2];
+    batches[0].pairs = 20;
+    batches[0].seed = 5;
+    batches[1].pairs = 37;
+    batches[1].seed = 3;
+    batches[1].gen.guards = false;
+    for (const gca::CampaignConfig& serial_cfg : batches) {
+        const gca::CampaignReport serial = gca::run_campaign(serial_cfg);
+        EXPECT_EQ(serial.unclassified(), 0);
+        if (!serial_cfg.gen.guards) {
+            EXPECT_GT(serial.by_kind.at(gmdf::codegen::FaultKind::NegateGuard).skipped, 0);
+        }
+        for (int threads : {2, 3, 4, 8}) {
+            gca::CampaignConfig cfg = serial_cfg;
+            cfg.threads = threads;
+            expect_same_report(serial, gca::run_campaign(cfg),
+                               "seed " + std::to_string(cfg.seed) + ", " +
+                                   std::to_string(cfg.pairs) + " pairs, threads " +
+                                   std::to_string(threads));
+        }
+    }
+}
+
+TEST(Campaign, HugeThreadCountMatchesSerialReport) {
+    // parallel_for starts min(threads, pairs, hub::kMaxThreads) workers:
+    // 3 here, not a million.
+    gca::CampaignConfig serial_cfg;
+    serial_cfg.pairs = 3;
+    gca::CampaignConfig cfg = serial_cfg;
+    cfg.threads = 1'000'000;
+    expect_same_report(gca::run_campaign(serial_cfg), gca::run_campaign(cfg),
+                       "threads 1000000");
 }
 
 } // namespace

@@ -1,15 +1,16 @@
 // gmdf_campaign — automated fault-hunt campaigns from the command line.
 //
-//   gmdf_campaign [--pairs N] [--seed S] [--wave W] [--threads N|-j N]
-//                 [--json] [--verbose]
+//   gmdf_campaign [--pairs N] [--seed S] [--threads N|-j N] [--json] [--verbose]
 //   gmdf_campaign --chaos [--pairs N] [--seed S] [--fault-rate F]
 //                 [--rounds N] [--verbose]
 //
 // Default mode generates N seeded (model, injected-fault) pairs, runs
 // each as twin fleet sessions with a differential check, localizes
 // every detected divergence (replay bisect, twin-trace diff fallback),
-// and prints the per-fault-kind report. Exit status 0 iff every pair
-// classified (localized / clean / skipped) — CI's campaign gate.
+// and prints the per-fault-kind report. Each pair is one task; -j N
+// runs the tasks on min(N, pairs, 256) workers and prints the same
+// report. Exit status 0 iff every pair classified (localized / clean /
+// skipped) — CI's campaign gate.
 //
 // --chaos turns the campaign on the debug service itself: a live hub +
 // TCP server behind a seeded fault-injecting proxy, N reconnecting
@@ -76,8 +77,8 @@ bool parse_rate(const std::string& flag, const char* text, double& out) {
 
 int usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--pairs N] [--seed S] [--wave W] [--threads N|-j N] "
-                 "[--json] [--verbose]\n"
+                 "usage: %s [--pairs N] [--seed S] [--threads N|-j N] [--json] "
+                 "[--verbose]\n"
                  "       %s --chaos [--pairs N] [--seed S] [--fault-rate F] "
                  "[--rounds N] [--verbose]\n",
                  argv0, argv0);
@@ -125,8 +126,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--seed" && has_value) {
             ok = parse_number(arg, argv[++i], 0, cfg.seed);
             chaos_cfg.seed = cfg.seed;
-        } else if (arg == "--wave" && has_value) {
-            ok = parse_number(arg, argv[++i], 1, cfg.wave);
         } else if ((arg == "--threads" || arg == "-j") && has_value) {
             ok = parse_number(arg, argv[++i], 1, cfg.threads);
         } else if (arg == "--json") {

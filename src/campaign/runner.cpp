@@ -1,8 +1,8 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
+#include <exception>
 
-#include "hub/registry.hpp"
 #include "hub/sharded.hpp"
 #include "replay/compare.hpp"
 
@@ -71,16 +71,15 @@ TwinScenarios make_twin_scenarios(const GenSpec& spec, std::uint32_t model_seed,
 
 namespace {
 
-/// Classifies a pumped pair into `r`, whose index, seed and kind are set.
-void classify(hub::SessionRegistry::Entry& clean, hub::SessionRegistry::Entry& faulted,
-              PairResult& r) {
-    const auto& clean_trace = clean.session().trace().events();
-    const auto& fault_trace = faulted.session().trace().events();
+/// Classifies a run pair into `r`, whose index, seed and kind are set.
+void classify(const proto::Scenario& clean, proto::Scenario& faulted, PairResult& r) {
+    const auto& clean_trace = clean.session->trace().events();
+    const auto& fault_trace = faulted.session->trace().events();
 
     // Structural faults trip the engine's design-model consistency
     // checker; hand those to replay::bisect for step-level localization.
-    if (!faulted.session().divergences().empty()) {
-        replay::BisectResult br = faulted.scenario->timeline->bisect();
+    if (!faulted.session->divergences().empty()) {
+        replay::BisectResult br = faulted.timeline->bisect();
         if (br.found) {
             r.outcome = Outcome::Localized;
             r.method = Method::Bisect;
@@ -101,7 +100,7 @@ void classify(hub::SessionRegistry::Entry& clean, hub::SessionRegistry::Entry& f
             r.detail = diff->reason;
             return;
         }
-        const core::Divergence& d = faulted.session().divergences().front();
+        const core::Divergence& d = faulted.session->divergences().front();
         r.outcome = Outcome::Localized;
         r.method = Method::Differential;
         r.t = d.t;
@@ -122,8 +121,7 @@ void classify(hub::SessionRegistry::Entry& clean, hub::SessionRegistry::Entry& f
     r.outcome = Outcome::Clean;
 }
 
-/// One pair, start to finish: build both twins, pump them on a registry
-/// and one-thread pump of their own, then classify.
+/// One pair, start to finish: build both twins, advance each, classify.
 PairResult run_pair(const CampaignConfig& cfg, int index, codegen::FaultKind kind) {
     PairResult r;
     r.index = index;
@@ -135,28 +133,25 @@ PairResult run_pair(const CampaignConfig& cfg, int index, codegen::FaultKind kin
         return r;
     }
 
-    // Baseline checkpoint at t=0 so bisect's search window covers the
-    // whole trace, then cadence captures during the pump, which bisect's
-    // probes restore as anchors.
+    // Cadence captures from t = 0 (so bisect's window covers the whole
+    // trace) are the anchors bisect's probes restore.
     twins.faulted->timeline->set_auto_period(CampaignConfig::checkpoint_every);
-    twins.faulted->timeline->capture_now();
+    // A twin whose target throws stops there, as a quarantined hub
+    // session does; the pair is still classified and its detail says so.
+    std::string crashes;
+    for (proto::Scenario* twin : {twins.clean.get(), twins.faulted.get()}) {
+        try {
+            twin->advance(CampaignConfig::run_for);
+        } catch (const std::exception& e) {
+            crashes += "; " + twin->name + " crashed: " + e.what();
+        } catch (...) {
+            crashes += "; " + twin->name + " crashed";
+        }
+    }
 
-    hub::SessionRegistry registry;
-    const std::string tag = "p" + std::to_string(index);
-    auto* clean = registry.adopt(std::move(twins.clean), tag + "_clean");
-    auto* faulted = registry.adopt(std::move(twins.faulted), tag + "_fault");
-    // The twins never interact, so slice granularity only costs overhead
-    // here: one slice per checkpoint cadence gives the faulted twin the
-    // same capture instants (and therefore the same bisect windows) as
-    // the default 10 ms slicing, at a tenth of the bookkeeping.
-    hub::ShardedScheduler scheduler;
-    scheduler.set_budget(CampaignConfig::checkpoint_every);
-    scheduler.pump(registry, CampaignConfig::run_for, [](hub::SessionRegistry::Entry& entry) {
-        entry.scenario->timeline->maybe_capture();
-    });
-
-    classify(*clean, *faulted, r);
+    classify(*twins.clean, *twins.faulted, r);
     if (r.detail.empty()) r.detail = std::move(twins.fault_description);
+    r.detail += crashes;
     return r;
 }
 

@@ -1,9 +1,9 @@
 // Campaign runner: mass-produced fault-hunt sweeps.
 //
 // A campaign manufactures (model, injected-fault) pairs from the seeded
-// generator, runs each pair as *twin* sessions on the hub fleet — one
-// with the design's generated code, one generated from the mutated
-// clone — and classifies every pair into exactly one bucket:
+// generator, runs each pair as *twin* sessions — one with the design's
+// generated code, one generated from the mutated clone — and classifies
+// every pair into exactly one bucket:
 //
 //   localized  a disagreement was found AND pinned to a step: by
 //              replay::bisect when the engine's consistency checker
@@ -17,9 +17,8 @@
 //
 // Zero crashes and zero unclassified pairs is the campaign contract;
 // gmdf_campaign's exit code enforces it in CI. Each pair is one task: it
-// builds its twins, adopts them into a SessionRegistry of its own, pumps
-// them on a one-thread ShardedScheduler (the pump the hub serves with),
-// and classifies them. `threads` drains the tasks on that many
+// builds its twins, advances each (proto::Scenario::advance, as a `run`
+// does) and classifies them. `threads` drains the tasks on that many
 // hub::parallel_for workers without changing the report.
 #pragma once
 

@@ -93,7 +93,7 @@ const std::vector<HubController::Verb>& HubController::verb_table() {
     return table;
 }
 
-HubController::HubController() { init_slice_hook(); }
+HubController::HubController() = default;
 
 HubController::~HubController() = default;
 
@@ -157,16 +157,6 @@ proto::Response HubController::cmd_metrics(const proto::Request& req, RouteConte
     return proto::Response::make_ok(std::move(body));
 }
 
-void HubController::init_slice_hook() {
-    // One std::function for the hub's lifetime: constructing it per
-    // `run` request re-allocated the closure on every pump.
-    slice_hook_ = [this](SessionRegistry::Entry& pumped) {
-        collect_events(pumped);
-        if (pumped.scenario->timeline != nullptr)
-            pumped.scenario->timeline->maybe_capture();
-    };
-}
-
 SessionRegistry::Entry* HubController::open(std::string_view scenario, std::string name,
                                             SessionRegistry::OpenError* error) {
     SessionRegistry::Entry* entry = registry_.open(scenario, std::move(name), error);
@@ -186,9 +176,8 @@ SessionRegistry::Entry* HubController::adopt(std::unique_ptr<proto::Scenario> sc
 void HubController::install(SessionRegistry::Entry& entry, RouteContext& ctx) {
     // `run` on any hosted session pumps the whole hub: every live
     // session advances concurrently through the scheduler instead of
-    // only the addressed session's transports. Each slice also gives the
-    // session's timeline a chance to take its cadence checkpoint, so
-    // automatic checkpoints stay slice-granular under the hub.
+    // only the addressed one; each slice is that session's own
+    // Scenario::advance, as a bare `run` is.
     entry.controller().set_run_hook([this](rt::SimTime duration) {
         scheduler_.pump(registry_, duration, slice_hook_);
     });

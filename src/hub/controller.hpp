@@ -196,7 +196,6 @@ private:
     /// caller's RouteContext) and listed after the session's in `help`.
     static const std::vector<Verb>& verb_table();
 
-    void init_slice_hook();
     proto::Response hub_ok(std::vector<std::string> body);
     proto::Response hub_error(proto::ErrorCode code, std::string message);
     proto::Response route(SessionRegistry::Entry& entry, std::string_view line);
@@ -234,10 +233,11 @@ private:
     bool multi_ = false;
     HubStats stats_;
     /// Built once (not per `run`) and handed to every pump: collects a
-    /// session's events and drives its checkpoint cadence after each
-    /// slice. Runs on scheduler worker threads when the fleet is
-    /// sharded, hence the event mutex below.
-    ShardedScheduler::SliceHook slice_hook_;
+    /// session's events after each slice. Runs on scheduler worker
+    /// threads when the fleet is sharded, hence the event mutex below.
+    ShardedScheduler::SliceHook slice_hook_ = [this](SessionRegistry::Entry& pumped) {
+        collect_events(pumped);
+    };
     /// Guards the hub event queue, its drop counter, and the event
     /// sink call — the MPSC surface worker threads publish into.
     std::mutex event_mu_;

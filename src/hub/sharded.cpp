@@ -8,9 +8,7 @@
 #include <string>
 #include <thread>
 
-#include "core/session.hpp"
 #include "obs/trace.hpp"
-#include "rt/target.hpp"
 
 namespace gmdf::hub {
 
@@ -32,19 +30,20 @@ void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
 
 namespace {
 
-/// Advances one session's target by `slice` and polls its transports at
-/// the new clock, under crash isolation: an exception transitions the
-/// session to Faulted (quarantining it from scheduling) instead of
-/// unwinding the pump, and a watchdog deadline overrun counts a strike
-/// — max_strikes consecutive ones quarantine the session as runaway.
-/// Returns false when the session faulted (the caller drops it from the
-/// round). The entry is exclusively held by the caller, so its health
-/// fields need no locking; `stats` is the caller's accumulator.
+/// Advances one session by `slice` (proto::Scenario::advance) under
+/// crash isolation: an exception transitions the session to Faulted
+/// (quarantining it from scheduling) instead of unwinding the pump, and
+/// a watchdog deadline overrun counts a strike — max_strikes consecutive
+/// ones quarantine the session as runaway. Returns false when the
+/// session faulted (the caller drops it from the round). The entry is
+/// exclusively held by the caller, so its health fields need no
+/// locking; `stats` is the caller's accumulator.
 ///
 /// Touches only that session's state, so distinct sessions may be
-/// sliced concurrently. Every slice is one obs::Span: its wall time goes
-/// into `slice_ns` and the watchdog, and, when the tracer is running, a
-/// "pump-slice" span on the stable per-shard track `trace_tid`.
+/// sliced concurrently. Every slice is one obs::Span: its wall time,
+/// cadence captures included, goes into `slice_ns` and the watchdog,
+/// and, when the tracer is running, a "pump-slice" span on the stable
+/// per-shard track `trace_tid`.
 bool pump_session_slice_guarded(SessionRegistry::Entry& entry, rt::SimTime slice,
                                 const WatchdogConfig& watchdog, WatchdogStats& stats,
                                 obs::Histogram& slice_ns, int trace_tid) {
@@ -55,12 +54,7 @@ bool pump_session_slice_guarded(SessionRegistry::Entry& entry, rt::SimTime slice
                        watchdog.enabled() ? &elapsed_ns : nullptr);
         span.arg("session", entry.name);
         try {
-            proto::Scenario& scenario = *entry.scenario;
-            scenario.target.run_for(slice);
-            const rt::SimTime now = scenario.target.sim().now();
-            core::DebugSession& session = *scenario.session;
-            for (const auto& transport : session.transports())
-                transport->poll(session.engine(), now);
+            entry.scenario->advance(slice);
         } catch (const std::exception& e) {
             entry.mark_faulted(e.what());
             return false;

@@ -4,15 +4,16 @@
 // clock. Advancing them serially (session A for the whole duration,
 // then session B) would batch each target's events and let one chatty
 // target starve the others' liveness. The pump instead advances every
-// live session in bounded simulated-time slices: each slice runs one
-// session's target forward by at most the per-session budget and polls
-// its transports at the new clock, so events from concurrent targets
-// interleave in elapsed-time order at budget granularity.
+// live session in bounded simulated-time slices: each slice is one
+// proto::Scenario::advance (what a bare `run` calls) by at most the
+// per-session budget, so events from concurrent targets interleave in
+// elapsed-time order at budget granularity.
 //
 // For a single session the sliced pump is behaviourally identical to
 // one contiguous run (the DES kernel dispatches the same events in the
-// same order across run_until boundaries) — which is what keeps
-// single-session transcripts byte-stable under the hub.
+// same order across run_until boundaries, and the timeline captures
+// the same cadence points) — which keeps single-session transcripts
+// byte-stable under the hub.
 //
 // Sessions are fully isolated from each other (separate targets,
 // engines, observers, transports), so the pump partitions the fleet
@@ -41,10 +42,10 @@
 //
 // pump() is synchronous fork-join: workers are joined before it
 // returns, so all session state is quiescent (and happens-before
-// ordered) for the caller afterwards. The slice hook is the one surface
-// that runs on worker threads — it must tolerate concurrent calls for
+// ordered) for the caller afterwards. Slices and the slice hook run on
+// worker threads — the hook must tolerate concurrent calls for
 // *distinct* sessions (the hub's hook serializes its shared queue with
-// a mutex; per-session work like checkpoint cadence needs nothing).
+// a mutex).
 //
 // Fault containment: every slice runs guarded. A session whose target
 // throws — or that repeatedly blows the optional wall-clock watchdog

@@ -677,6 +677,12 @@ Response SessionController::cmd_checkpoint(const Request& req) {
             return Response::make_error(ErrorCode::BadArgument,
                                         "'" + req.args[1] +
                                             "' is not a cadence in ms (>= 0)");
+        // Every cadence point is captured: keep the image count sane.
+        if (*period > 0 && *period < rt::kMs)
+            return Response::make_error(ErrorCode::BadArgument,
+                                        "'" + req.args[1] +
+                                            "' is below the 1 ms cadence floor"
+                                            " (0 turns the cadence off)");
         timeline_->set_auto_period(*period);
         return Response::make_ok({*period == 0
                                       ? std::string("checkpoint auto off")

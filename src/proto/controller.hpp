@@ -42,9 +42,8 @@ class Timeline;
 
 namespace gmdf::proto {
 
-/// Advances the host clock (wall time of the attached platform) by the
-/// given simulated duration; what the `run` verb drives. The REPL binds
-/// this to rt::Target::run_for; scripted harnesses pump their transport.
+/// Advances the session by a simulated duration; what the `run` verb
+/// calls. Scenario binds it to Scenario::advance, a hub to its pump.
 using RunHook = std::function<void(rt::SimTime)>;
 
 // A verb table is a vector of rows with `verb`, `usage`, `summary` and a
@@ -116,7 +115,6 @@ public:
     /// verbs work and every execution-affecting verb is journaled so
     /// rewind can re-apply it during catch-up re-execution.
     void set_timeline(replay::Timeline* timeline) { timeline_ = timeline; }
-    [[nodiscard]] replay::Timeline* timeline() { return timeline_; }
 
     /// Queued asynchronous events, oldest first; the queue is emptied.
     [[nodiscard]] std::vector<Event> drain_events();

@@ -95,6 +95,25 @@ void build_lift(Scenario& s) {
 
 } // namespace
 
+void Scenario::advance(rt::SimTime duration) {
+    if (timeline != nullptr)
+        timeline->advance(duration);
+    else
+        target.run_for(duration);
+    const rt::SimTime now = target.sim().now();
+    for (const auto& transport : session->transports())
+        transport->poll(session->engine(), now);
+}
+
+SessionController& Scenario::controller() {
+    if (controller_ == nullptr) {
+        controller_ = std::make_unique<SessionController>(*session);
+        controller_->set_timeline(timeline.get());
+        controller_->set_run_hook([this](rt::SimTime duration) { advance(duration); });
+    }
+    return *controller_;
+}
+
 std::vector<std::string> scenario_names() {
     return {"blinker", "turntable", "lift_fault"};
 }
@@ -123,10 +142,6 @@ void wire_scenario(Scenario& s) {
         s.target.schedule_publish(st.at, st.node,
                                   s.loaded.signal_index.at(st.signal.raw), st.value);
     s.timeline = std::make_unique<replay::Timeline>(s.target, *s.session);
-    s.controller().set_timeline(s.timeline.get());
-    replay::Timeline* timeline = s.timeline.get();
-    s.controller().set_run_hook(
-        [timeline](rt::SimTime duration) { timeline->advance(duration); });
     s.target.start();
 }
 

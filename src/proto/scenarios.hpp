@@ -2,9 +2,9 @@
 //
 // Each scenario bundles a COMDES design model, a simulated target with
 // the generated code loaded (active command interface), a DebugSession
-// attached over UART, and the protocol controller driving that session,
-// with its run hook bound to the target clock. The scenario, not the
-// session, owns the controller: the protocol sits on top of core.
+// attached over UART, its timeline, and the protocol controller driving
+// that session. Scenario::advance alone moves the session's clock: the
+// `run` verb, every hub pump slice and the campaign twins call it.
 // gmdf_dbg serves these from the command line; the golden-transcript
 // tests run the same objects in-process, so the CLI and the test
 // fixtures cannot diverge.
@@ -50,20 +50,24 @@ struct Scenario {
     std::unique_ptr<meta::Model> mutated;
     std::unique_ptr<core::DebugSession> session;
     /// Time-travel navigation (checkpoint/rewind/step-back/bisect);
-    /// bound to the session's controller by make_scenario.
+    /// attached by wire_scenario.
     std::unique_ptr<replay::Timeline> timeline;
 
     explicit Scenario(std::string scenario_name)
         : name(std::move(scenario_name)), sys(name + "_system") {}
 
-    /// The protocol controller over `session`: wire_scenario creates it
-    /// with its run hook bound to the target; a hand-assembled scenario
-    /// gets a bare one on its first call. `session` must be set first.
-    [[nodiscard]] SessionController& controller() {
-        if (controller_ == nullptr)
-            controller_ = std::make_unique<SessionController>(*session);
-        return *controller_;
-    }
+    // Neither copyable nor movable: the controller's run hook points here.
+    Scenario(const Scenario&) = delete;
+    Scenario& operator=(const Scenario&) = delete;
+
+    /// Runs the timeline (which takes the cadence checkpoints) or, with
+    /// none, the bare target by `duration`, then polls every transport at
+    /// the new clock. Throws what the target throws.
+    void advance(rt::SimTime duration);
+
+    /// The controller over `session`, built on first call with `timeline`
+    /// attached and its run hook bound to advance(). Set both first.
+    [[nodiscard]] SessionController& controller();
 
 private:
     // Declared after session: its destructor unsubscribes from the engine.
@@ -102,8 +106,8 @@ void generate_scenario(Scenario& s, const campaign::GenSpec& spec, std::uint32_t
 /// `mutated` when set — the injected-fault twin — else the design) onto
 /// the target, builds the session over the active command interface,
 /// schedules the stimuli through the rewind-safe publish path, attaches
-/// a replay::Timeline, and starts the target. The campaign runner and
-/// make_scenario share this tail.
+/// a replay::Timeline, and starts the target; no controller, so headless
+/// twins carry none. The campaign runner and make_scenario share this.
 void wire_scenario(Scenario& s);
 
 } // namespace gmdf::proto

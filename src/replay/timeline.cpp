@@ -41,6 +41,9 @@ void Timeline::set_auto_period(rt::SimTime period) {
 }
 
 const Checkpoint* Timeline::capture_now(std::string* error) {
+    const rt::SimTime now = target_->sim().now();
+    if (auto_period_ > 0 && now >= next_capture_)
+        next_capture_ = (now / auto_period_ + 1) * auto_period_;
     std::string who;
     if (!transports_replay_safe(&who)) {
         if (error != nullptr)
@@ -63,25 +66,17 @@ const Checkpoint* Timeline::capture_now(std::string* error) {
 }
 
 void Timeline::maybe_capture() {
-    if (auto_period_ <= 0 || replaying_) return;
-    rt::SimTime now = target_->sim().now();
-    if (now < next_capture_) return;
-    capture_now(nullptr);
-    next_capture_ = (now / auto_period_ + 1) * auto_period_;
+    if (auto_period_ > 0 && !replaying_ && target_->sim().now() >= next_capture_)
+        capture_now(nullptr);
 }
 
 void Timeline::advance(rt::SimTime duration) {
-    rt::SimTime horizon = target_->sim().now() + duration;
-    if (auto_period_ > 0) {
-        maybe_capture(); // baseline (or overdue cadence point) at start
-        while (target_->sim().now() < horizon) {
-            rt::SimTime next = std::min(horizon, next_capture_);
-            rt::SimTime now = target_->sim().now();
-            target_->run_for(std::max<rt::SimTime>(next - now, 0));
-            maybe_capture();
-        }
-    } else {
-        target_->run_for(duration);
+    const rt::SimTime horizon = target_->sim().now() + duration;
+    maybe_capture(); // the baseline, or an overdue cadence point
+    while (target_->sim().now() < horizon) {
+        const rt::SimTime stop = auto_period_ > 0 ? std::min(horizon, next_capture_) : horizon;
+        target_->run_for(stop - target_->sim().now());
+        maybe_capture();
     }
 }
 

@@ -97,8 +97,7 @@ public:
     // ---- configuration -----------------------------------------------------
 
     /// Automatic checkpoint cadence in sim time; 0 disables. Enabling
-    /// schedules the next capture immediately (a baseline lands at the
-    /// start of the next advance).
+    /// makes a capture due at once (the next advance() starts with it).
     void set_auto_period(rt::SimTime period);
     [[nodiscard]] rt::SimTime auto_period() const { return auto_period_; }
 
@@ -109,17 +108,17 @@ public:
     // ---- capture -----------------------------------------------------------
 
     /// Takes a checkpoint now. Null on refusal with the reason in
-    /// `error` (non-deterministic transports, unrestorable state).
+    /// `error` (non-deterministic transports, unrestorable state). At or
+    /// past a due cadence point it is that point's capture, refused or not.
     const Checkpoint* capture_now(std::string* error = nullptr);
 
-    /// Cadence capture: takes a checkpoint when the auto period elapsed.
-    /// Safe to call from any pump loop; no-op when auto is off, a
-    /// capture is not due yet, or a replay is in progress.
+    /// capture_now() when a cadence capture is due and no replay runs;
+    /// after an advance() none is.
     void maybe_capture();
 
-    /// Run-hook implementation: advances the target by `duration`,
-    /// sliced at cadence points so automatic checkpoints land exactly on
-    /// the configured grid.
+    /// Advances the target by `duration`, capturing each cadence point on
+    /// the way, however the caller slices its advances (through
+    /// proto::Scenario::advance, the only caller).
     void advance(rt::SimTime duration);
 
     // ---- journal (called by the protocol controller) -----------------------

@@ -143,6 +143,32 @@ TEST(CrashIsolation, FaultedSessionIsRefusedListedAndRevivable) {
     EXPECT_FALSE(hub.execute_line("session revive a").ok());
 }
 
+// A slice that throws takes no cadence capture of the state the crash
+// left, so revive restores the last capture before the crash, not the
+// crashed instant.
+TEST(CrashIsolation, ReviveRestoresTheLastCaptureBeforeTheCrash) {
+    gh::HubController hub;
+    gh::SessionRegistry::Entry* a = hub.open("blinker", "a");
+    ASSERT_NE(a, nullptr);
+    ASSERT_TRUE(hub.execute_line("@a checkpoint auto 50").ok());
+    ASSERT_TRUE(hub.execute_line("@a run 100").ok());
+
+    a->scenario->target.inject_fault_at(150 * gr::kMs, "boom");
+    ASSERT_TRUE(hub.execute_line("@a run 100").ok());
+    ASSERT_TRUE(a->faulted());
+    std::vector<gr::SimTime> held;
+    for (const auto& cp : a->scenario->timeline->store().entries())
+        held.push_back(cp.snap.time);
+    EXPECT_EQ(held, (std::vector<gr::SimTime>{0, 50 * gr::kMs, 100 * gr::kMs}))
+        << "no checkpoint may hold the crashed instant";
+
+    gp::Response revive = hub.execute_line("session revive a");
+    ASSERT_TRUE(revive.ok()) << revive.message;
+    ASSERT_GE(revive.body.size(), 2u);
+    EXPECT_EQ(revive.body[1], "restored checkpoint at 100 ms");
+    EXPECT_EQ(a->scenario->target.sim().now(), 100 * gr::kMs);
+}
+
 // ---- pump watchdog ----------------------------------------------------------
 
 TEST(Watchdog, RunawaySessionIsQuarantinedAfterMaxStrikes) {

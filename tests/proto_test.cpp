@@ -218,7 +218,8 @@ TEST(Controller, RunRejectsJunkAndMissingHook) {
 
 // run, checkpoint auto and rewind read <ms> the same way: junk, negative,
 // non-finite and out-of-range values are bad arguments with each verb's
-// own message. run refuses 0; checkpoint auto 0 turns the cadence off.
+// own message. run refuses 0; checkpoint auto 0 turns the cadence off,
+// and a positive cadence must be at least 1 ms.
 TEST(Controller, MsArgumentsRefuseJunkWithEachVerbsMessage) {
     auto scenario = gp::make_scenario("blinker");
     ASSERT_NE(scenario, nullptr);
@@ -241,6 +242,12 @@ TEST(Controller, MsArgumentsRefuseJunkWithEachVerbsMessage) {
     const gp::Response off = ctl.execute_line("checkpoint auto 0");
     ASSERT_TRUE(off.ok()) << off.message;
     EXPECT_EQ(off.body, std::vector<std::string>{"checkpoint auto off"});
+    const gp::Response fine = ctl.execute_line("checkpoint auto 0.5");
+    EXPECT_EQ(fine.code, gp::ErrorCode::BadArgument);
+    EXPECT_EQ(fine.message, "'0.5' is below the 1 ms cadence floor (0 turns the cadence off)");
+    const gp::Response floor = ctl.execute_line("checkpoint auto 1");
+    ASSERT_TRUE(floor.ok()) << floor.message;
+    EXPECT_EQ(floor.body, std::vector<std::string>{"checkpoint auto every 1 ms"});
 }
 
 TEST(Controller, PauseStepResumeLifecycle) {

@@ -1,8 +1,9 @@
 // Time-travel debugging tests: snapshot round-trips, checkpoint-ring
 // accounting, rewind + re-execution byte-identity, step-back after a
 // breakpoint, bisect fault localization, hub-routed rewind isolation,
-// and the typed refusals (non-deterministic transports, out-of-range
-// targets).
+// hosted and bare sessions taking cadence checkpoints at the same
+// instants, and the typed refusals (non-deterministic transports,
+// out-of-range targets).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -669,6 +670,128 @@ TEST(Hub, RoutedRewindIsIsolated) {
     ASSERT_TRUE(hub.execute_line("run 100").ok());
     EXPECT_EQ(a.target.sim().now(), 250 * rt::kMs);
     EXPECT_EQ(b.target.sim().now(), 400 * rt::kMs);
+}
+
+// ---- one cadence, hosted or bare --------------------------------------------
+
+// A hub slice and a bare `run` both step a session through
+// Scenario::advance, so the timeline alone decides when a cadence
+// checkpoint is taken: a hosted session captures at the same instants
+// as its bare controller, however the pump slices the run.
+
+namespace {
+
+/// The instants (ns) a `checkpoint list` reply lists, in order.
+std::vector<long long> listed_times(const gp::Response& list) {
+    std::vector<long long> times;
+    for (const std::string& line : list.body)
+        if (const std::size_t at = line.find(" @"); at != std::string::npos)
+            times.push_back(std::stoll(line.substr(at + 2)));
+    return times;
+}
+
+/// Replies of a fresh blinker to `lines`: on its own controller when
+/// `threads` is 0, else hosted alone by a hub pumping on `threads`.
+std::vector<gp::Response> drive_blinker(const std::vector<std::string>& lines,
+                                        int threads) {
+    std::vector<gp::Response> replies;
+    if (threads == 0) {
+        auto s = gp::make_scenario("blinker");
+        for (const std::string& line : lines) replies.push_back(exec(*s, line));
+        return replies;
+    }
+    gmdf::hub::HubController hub;
+    hub.scheduler().set_threads(threads);
+    EXPECT_NE(hub.open("blinker", "blinker"), nullptr);
+    for (const std::string& line : lines) replies.push_back(hub.execute_line(line));
+    return replies;
+}
+
+const std::vector<std::string> kCadenceScript = {
+    "checkpoint auto 25", "run 100",   "checkpoint list", "checkpoint auto 100",
+    "checkpoint now",     "run 200",   "checkpoint list", "rewind 0",
+    "checkpoint list",
+};
+
+/// kCadenceScript's transcript, as gmdf_dbg --script prints it, from a
+/// hub or a bare controller.
+template <typename Client>
+std::string cadence_transcript(Client& client) {
+    std::string text;
+    for (const std::string& line : kCadenceScript) text += line + "\n";
+    std::istringstream script(text);
+    std::ostringstream out;
+    EXPECT_EQ(gp::run_script(client, script, out).errors, 0u) << out.str();
+    return out.str();
+}
+
+} // namespace
+
+TEST(Cadence, HostedTranscriptEqualsTheBareControllers) {
+    auto bare = gp::make_scenario("blinker");
+    ASSERT_NE(bare, nullptr);
+    const std::string expected = cadence_transcript(bare->controller());
+    for (int threads : {1, 4}) {
+        gmdf::hub::HubController hub;
+        hub.scheduler().set_threads(threads);
+        ASSERT_NE(hub.open("blinker", "blinker"), nullptr);
+        EXPECT_EQ(cadence_transcript(hub), expected) << threads << " pump threads";
+    }
+
+    // The instants themselves: the 25 ms grid from t = 0, the explicit
+    // capture beside the 100 ms point it stands in for, then the 100 ms
+    // grid; the rewind keeps only what precedes t = 0.
+    const std::vector<gp::Response> replies = drive_blinker(kCadenceScript, 0);
+    constexpr long long kMs = rt::kMs;
+    EXPECT_EQ(listed_times(replies[2]),
+              (std::vector<long long>{0, 25 * kMs, 50 * kMs, 75 * kMs, 100 * kMs}));
+    EXPECT_EQ(listed_times(replies[6]),
+              (std::vector<long long>{0, 25 * kMs, 50 * kMs, 75 * kMs, 100 * kMs, 100 * kMs,
+                                      200 * kMs, 300 * kMs}));
+    EXPECT_EQ(listed_times(replies[8]), std::vector<long long>{0});
+}
+
+// With a neighbour the 4-thread pump spawns a worker, so cadence
+// captures run on pump workers (the TSan job runs this suite); the
+// addressed session still replies as its bare controller does.
+TEST(Cadence, CapturesOnPumpWorkersLandOnTheBareInstants) {
+    const std::vector<gp::Response> bare = drive_blinker(kCadenceScript, 0);
+    gmdf::hub::HubController hub;
+    hub.scheduler().set_threads(4);
+    ASSERT_NE(hub.open("blinker", "a"), nullptr);
+    ASSERT_NE(hub.open("turntable", "b"), nullptr);
+    ASSERT_TRUE(hub.execute_line("@b checkpoint auto 10").ok());
+    for (std::size_t i = 0; i < kCadenceScript.size(); ++i)
+        EXPECT_EQ(gp::format_response(hub.execute_line("@a " + kCadenceScript[i])),
+                  gp::format_response(bare[i]))
+            << kCadenceScript[i];
+    const gp::Response b_list = hub.execute_line("@b checkpoint list");
+    ASSERT_TRUE(b_list.ok()) << b_list.message;
+    EXPECT_EQ(listed_times(b_list).size(), 31u); // 0, 10, ..., 300 ms
+}
+
+// The first capture of a hosted session's cadence is the baseline at
+// the instant the cadence was set, not the end of the first slice.
+TEST(Cadence, FirstHostedCaptureIsTheBaseline) {
+    for (int threads : {0, 1, 4}) {
+        const std::vector<gp::Response> replies =
+            drive_blinker({"checkpoint auto 100", "run 5", "rewind 0"}, threads);
+        ASSERT_TRUE(replies[2].ok()) << threads << ": " << replies[2].message;
+        EXPECT_EQ(replies[2].body[0], "rewound to 0 ms") << threads;
+    }
+}
+
+// An explicit capture at a due cadence point is that point's capture,
+// so the point is not stored twice.
+TEST(Cadence, ExplicitCaptureStandsInForTheDuePoint) {
+    for (int threads : {0, 1, 4}) {
+        const std::vector<gp::Response> replies = drive_blinker(
+            {"checkpoint auto 100", "checkpoint now", "run 300", "checkpoint list"}, threads);
+        constexpr long long kMs = rt::kMs;
+        EXPECT_EQ(listed_times(replies[3]),
+                  (std::vector<long long>{0, 100 * kMs, 200 * kMs, 300 * kMs}))
+            << threads << " pump threads (0: bare)";
+    }
 }
 
 // ---- replay_frames reuse (satellite) ---------------------------------------
